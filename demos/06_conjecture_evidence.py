@@ -12,10 +12,14 @@ from fractions import Fraction
 from ddperm import conjectures as cj
 
 print("down-up alternation of dd({i}; n) across i, exact comparisons:")
-for n in (10, 20, 30):
+for n in (10, 20, 30, 100, 200, 300):
     report = cj.down_up_report(n)
-    print(f"  n={n:>2}: {len(report.rows)} comparisons, "
+    print(f"  n={n:>3}: {len(report.rows):>3} comparisons, "
           f"verdict {report.verdict.value}")
+held = [n for n in range(6, 301)
+        if cj.down_up_report(n).verdict is cj.Verdict.HOLDS_IN_RANGE]
+print(f"  holds at {len(held)} of the {300 - 6 + 1} lengths n = 6..300 "
+      "(each row dd({i}; n) is one O(n^2) pass)")
 print()
 
 print("ratio series dd({2}; n) / dd({4}; n), last rows:")

@@ -22,6 +22,9 @@ from .perms import (
 from .counting import (
     dd_count,
     dd_ascent_count,
+    dd_counts,
+    dd_ascent_counts,
+    dd_singleton_row,
     no_dd_counts,
     no_dd_ascent_counts,
     dd_singleton_recursion,
@@ -39,6 +42,9 @@ __all__ = [
     "iterate_permutations",
     "dd_count",
     "dd_ascent_count",
+    "dd_counts",
+    "dd_ascent_counts",
+    "dd_singleton_row",
     "no_dd_counts",
     "no_dd_ascent_counts",
     "dd_singleton_recursion",

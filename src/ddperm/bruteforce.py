@@ -22,7 +22,8 @@ import numpy as np
 from .errors import CapExceeded
 from .perms import IndexSet, as_index_set
 
-# Default n! enumeration cap; 11! = 39_916_800 takes tens of seconds.
+# Default n! enumeration cap; the census of 11! = 39_916_800 rows takes a
+# few seconds (1.6 to 5.8 s measured on a shared 2-vCPU VM).
 DEFAULT_CAP = 11
 # Hard ceiling for the override: 12! is a one-off-check scale, 13! is not.
 HARD_CAP = 12

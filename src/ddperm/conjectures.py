@@ -96,9 +96,9 @@ def write_report(report: ConjectureReport, fmt: str, path) -> None:
 
 
 def singleton_table(n: int) -> dict[int, int]:
-    """{i: dd({i}; n)} for all singleton positions, built in one pass so
-    every consumer of a report sees one consistent table."""
-    return {i: counting.dd_count((i,), n) for i in range(2, n)}
+    """{i: dd({i}; n)} for all singleton positions, from one O(n^2)
+    pass (:func:`ddperm.counting.dd_singleton_row`)."""
+    return counting.dd_singleton_row(n)
 
 
 def equidistribution_report(n: int, alpha: Fraction, beta: Fraction,
@@ -219,34 +219,22 @@ def ratio_monotonicity_report(n: int) -> ConjectureReport:
     )
 
 
-def _first_nonzero(dd_set: IndexSet, n_max: int) -> int | None:
-    for n in range(n_max + 1):
-        if counting.dd_count(dd_set, n) > 0:
-            return n
-    return None
-
-
 def _ratio_rows(set_i: IndexSet, set_j: IndexSet, n_max: int):
     """(start, rows, ratios) shared by the ratio-series report and the
     tail-spread helper; raises when either set is never realizable."""
-    start_j = _first_nonzero(set_j, n_max)
-    if start_j is None:
-        raise ValueError(
-            f"dd(J;n) = 0 for all computed n (J={set(set_j) or '{}'}, "
-            f"n <= {n_max})"
-        )
-    start_i = _first_nonzero(set_i, n_max)
-    if start_i is None:
-        raise ValueError(
-            f"dd(I;n) = 0 for all computed n (I={set(set_i) or '{}'}, "
-            f"n <= {n_max})"
-        )
-    start = max(start_i, start_j)
+    nums = counting.dd_counts(set_i, n_max)
+    dens = counting.dd_counts(set_j, n_max)
+    for name, indices, counts in (("J", set_j, dens), ("I", set_i, nums)):
+        if not any(counts):
+            raise ValueError(
+                f"dd({name};n) = 0 for all computed n "
+                f"({name}={set(indices) or '{}'}, n <= {n_max})"
+            )
+    start = max(next(n for n, v in enumerate(c) if v) for c in (nums, dens))
     rows = []
     ratios: list[Fraction] = []
     for n in range(start, n_max + 1):
-        num = counting.dd_count(set_i, n)
-        den = counting.dd_count(set_j, n)
+        num, den = nums[n], dens[n]
         if den == 0:
             rows.append((n, str(num), str(den), "", "skipped: denominator 0"))
             continue

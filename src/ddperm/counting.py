@@ -5,8 +5,17 @@ right by the relative rank of each new entry among the prefix.  The
 state after i entries is (rank of the last entry, whether step i-1
 descended); appending an entry of rank s creates a descent iff s is at
 most the old last rank, and a double descent at position i iff both the
-old and the new step descend.  Enforcing membership of each position in
-the required set gives dd counts in O(n^2) exact big-integer work.
+old and the new step descend.  One step function carries the states
+from length i to i+1, requiring or forbidding a double descent at i;
+every counter here loops over it, in O(n^2) exact big-integer work:
+
+* :func:`dd_count` / :func:`dd_ascent_count`: one set at one length;
+* :func:`dd_counts` / :func:`dd_ascent_counts`: one set at every length
+  up to n_max, from a single forward pass;
+* :func:`dd_singleton_row`: dd({m}; n) for every m at once, from the
+  no-double-descent forward states, one requiring step at m and a
+  backward pass of completion counts (the transposed step) - the
+  transfer-matrix method (Stanley, Enumerative Combinatorics I, 4.7).
 
 Also here: the convolution recursions for the no-double-descent
 sequences, the singleton-set recursion that rebuilds dd({m}; n+1) from
@@ -19,8 +28,10 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
-from typing import Callable, Iterable
+from operator import add, mul
+from typing import Callable, Iterable, Iterator
 
 from .errors import CapExceeded
 from .perms import as_index_set
@@ -30,6 +41,46 @@ from .perms import as_index_set
 DP_CAP = 1000
 
 
+def _suffix_sums(values: list[int]) -> list[int]:
+    return list(accumulate(reversed(values)))[::-1]
+
+
+def _step(asc: list[int], desc: list[int], must: bool) -> tuple[list[int], list[int]]:
+    """Append one entry to prefixes of length i, creating step i.
+
+    ``asc[r-1]`` / ``desc[r-1]`` count prefixes whose last entry has rank
+    r among the prefix and whose last step ascends / descends.  The new
+    entry of rank s descends iff s <= r.  With ``must`` position i has
+    to be a double descent (both steps descend); otherwise it must not
+    be one, so a new descent may only follow an ascent.
+    """
+    if must:
+        return [0] * (len(asc) + 1), _suffix_sums(desc) + [0]
+    return [0, *accumulate(map(add, asc, desc))], _suffix_sums(asc) + [0]
+
+
+def _step_back(asc: list[int], desc: list[int]) -> tuple[list[int], list[int]]:
+    """Transpose of a forbidding :func:`_step`: from the completion
+    counts of each state at length i+1, those at length i."""
+    after = _suffix_sums(asc)[1:]
+    return list(map(add, accumulate(desc[:-1]), after)), after
+
+
+def _prefix_states(dd_positions: frozenset[int], n: int,
+                   initial_ascent: bool) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield the states (asc, desc) of the prefixes of lengths 1..n whose
+    double-descent set agrees with ``dd_positions`` so far."""
+    if n < 1:
+        return
+    asc, desc = [1], [0]
+    yield asc, desc
+    for i in range(1, n):
+        asc, desc = _step(asc, desc, i in dd_positions)
+        if initial_ascent and i == 1:
+            desc = [0, 0]
+        yield asc, desc
+
+
 @lru_cache(maxsize=None)
 def _insertion_count(n: int, dd_positions: frozenset[int],
                      force_initial_ascent: bool) -> int:
@@ -37,37 +88,8 @@ def _insertion_count(n: int, dd_positions: frozenset[int],
     ``dd_positions``, optionally restricted to w_1 < w_2."""
     if n == 0:
         return 1
-    # asc[r] / desc[r]: prefixes whose last entry has rank r among the
-    # prefix, with the last step ascending / descending.
-    asc = [0, 1]
-    desc = [0, 0]
-    for i in range(1, n):
-        # Appending entry i+1 creates step i; position i can be a double
-        # descent only for i >= 2.
-        must = i in dd_positions
-        new_asc = [0] * (i + 2)
-        new_desc = [0] * (i + 2)
-        if must:
-            # need: previous step descended and this step descends
-            run = 0
-            for s in range(i, 0, -1):
-                run += desc[s]
-                new_desc[s] = run
-        else:
-            # a descent after a descent would create a double descent at
-            # i, which is forbidden here (for i = 1 desc[] is all zero,
-            # so the restriction is vacuous)
-            run = 0
-            for s in range(i, 0, -1):
-                run += asc[s]
-                new_desc[s] = run
-            run = 0
-            for s in range(2, i + 2):
-                run += asc[s - 1] + desc[s - 1]
-                new_asc[s] = run
-        if force_initial_ascent and i == 1:
-            new_desc = [0] * (i + 2)
-        asc, desc = new_asc, new_desc
+    for asc, desc in _prefix_states(dd_positions, n, force_initial_ascent):
+        pass
     return sum(asc) + sum(desc)
 
 
@@ -98,6 +120,66 @@ def dd_ascent_count(dd_set: Iterable[int], n: int, cap: int = DP_CAP) -> int:
     if any(i < 2 or i > n - 1 for i in indices):
         return 0
     return _insertion_count(n, frozenset(indices), True)
+
+
+def _column(dd_set: Iterable[int], n_max: int, cap: int,
+            initial_ascent: bool) -> list[int]:
+    indices = as_index_set(dd_set)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if n_max > cap:
+        raise CapExceeded(f"dd column to n={n_max} exceeds the cap {cap}")
+    if indices and indices[0] < 2:
+        return [0] * (n_max + 1)
+    top = max(indices, default=0)
+    counts = [0 if indices else 1]
+    states = _prefix_states(frozenset(indices), n_max, initial_ascent)
+    for length, (asc, desc) in enumerate(states, start=1):
+        counts.append(sum(asc) + sum(desc) if length > top else 0)
+    return counts
+
+
+def dd_counts(dd_set: Iterable[int], n_max: int, cap: int = DP_CAP) -> list[int]:
+    """[dd(I; n) for n in 0..n_max] from one forward pass, O(n_max^2).
+
+    Entries with n <= max(I) are 0; each entry equals :func:`dd_count`.
+    """
+    return _column(dd_set, n_max, cap, False)
+
+
+def dd_ascent_counts(dd_set: Iterable[int], n_max: int,
+                     cap: int = DP_CAP) -> list[int]:
+    """The initial-ascent column: entry n equals :func:`dd_ascent_count`
+    for n >= 2; lengths 0 and 1 follow the a(0) = a(1) = 1 convention of
+    :func:`no_dd_ascent_counts`."""
+    return _column(dd_set, n_max, cap, True)
+
+
+def dd_singleton_row(n: int, cap: int = DP_CAP) -> dict[int, int]:
+    """{m: dd({m}; n)} for m = 2..n-1 in O(n^2) exact work.
+
+    dd({m}; n) is the number of ways to reach a no-double-descent
+    prefix of length m, take one step that requires a double descent at
+    m, and complete without double descents: a forward state dotted
+    with a backward vector of completion counts.  Forward states are
+    kept only up to length ceil(n/2); the other half of the row follows
+    from the reverse-complement symmetry dd({m}; n) = dd({n+1-m}; n).
+    """
+    if n > cap:
+        raise CapExceeded(f"singleton row at n={n} exceeds the cap {cap}")
+    half = -(-n // 2)
+    forward = list(_prefix_states(frozenset(), half, False))
+    row = {}
+    back_asc, back_desc = [1] * n, [1] * n
+    for m in range(n - 1, 1, -1):
+        # back_* now count the completions of each length-(m+1) state;
+        # a requiring step leaves only descending states
+        if m <= half:
+            _, desc = _step(*forward[m - 1], True)
+            row[m] = sum(map(mul, desc, back_desc))
+        if m > 2:
+            back_asc, back_desc = _step_back(back_asc, back_desc)
+    return {m: row[min(m, n + 1 - m)] for m in range(2, n)}
 
 
 @lru_cache(maxsize=None)
@@ -191,8 +273,9 @@ def dd_singleton_parts(m: int, n: int,
         c_provider = dd_ascent_count
     blocks = no_dd_ascent_counts(n)
     free = no_dd_counts(n)
+    column = dd_counts((m,), n)
     first = sum(
-        comb(n, k) * dd_count((m,), k) * blocks[n - k]
+        comb(n, k) * column[k] * blocks[n - k]
         for k in range(m + 1, n + 1)
     )
     second = comb(n, m - 2) * free[m - 2] * (free[n - m + 2] - blocks[n - m + 2])
@@ -276,8 +359,7 @@ def ascent_ratio_average(m: int, n_max: int = 12) -> Fraction:
         raise ValueError("ratio averages start at m = 3")
     if n_max < m + 2:
         raise ValueError("n_max too small to average anything")
-    ratios = []
-    for n in range(m + 1, n_max + 1):
-        denom = dd_count((m,), n)
-        ratios.append(Fraction(dd_ascent_count((m,), n), denom))
+    plain = dd_counts((m,), n_max)
+    ascent = dd_ascent_counts((m,), n_max)
+    ratios = [Fraction(ascent[n], plain[n]) for n in range(m + 1, n_max + 1)]
     return sum(ratios, start=Fraction(0)) / len(ratios)

@@ -220,12 +220,11 @@ def count_singleton(m: int, n: int) -> int:
 
 def count_empty(n: int) -> int:
     """Number of length-n rim hooks with no encoded double descents:
-    F_{n+1}; cross-checked against the by-height binomial sum."""
+    F_{n+1}.  The tests pin it to :func:`count_empty_binomial` and to
+    the mask scan."""
     if n < 2:
         raise ValueError("the closed form starts at n = 2")
-    value = fibonacci(n + 1)
-    assert value == count_empty_binomial(n)
-    return value
+    return fibonacci(n + 1)
 
 
 def count_empty_binomial(n: int) -> int:

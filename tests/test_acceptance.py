@@ -191,3 +191,12 @@ def test_9_cross_method_equivalence():
             assert len(set(hooks)) == len(hooks) == 2 ** (n - 1)
             for hook in hooks:
                 assert rh.from_descents(hook.descent_positions(), n) == hook
+
+
+def test_10_conjecture_evidence_at_large_n():
+    with _Timer("10 conjecture evidence at large n", 30):
+        for n in (*range(31, 151), 200, 300):
+            report = cj.down_up_report(n)
+            assert report.verdict is cj.Verdict.HOLDS_IN_RANGE, (n, report.witness)
+            report = cj.ratio_monotonicity_report(n)
+            assert report.verdict is cj.Verdict.HOLDS_IN_RANGE, (n, report.witness)

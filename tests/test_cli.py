@@ -54,6 +54,13 @@ def test_count_cap_exit_code():
     assert "cap" in result.stderr
 
 
+def test_singleton_table_cap_exit_code():
+    result = run_cli("table", "--family", "singleton", "--n", "1200")
+    assert result.returncode == 2
+    assert "cap" in result.stderr
+    assert result.stdout == ""
+
+
 def test_brute_cap_env_override():
     result = run_cli(
         "count", "--set", "2", "--n", "6", "--method", "brute",

@@ -6,6 +6,7 @@ import pytest
 from ddperm import bruteforce as bf
 from ddperm import conjectures as cj
 from ddperm import counting
+from ddperm.errors import CapExceeded
 
 
 def test_singleton_table_consistency():
@@ -14,6 +15,27 @@ def test_singleton_table_consistency():
         census = bf.dd_census(n)
         for i, value in table.items():
             assert value == census.get((i,), 0)
+
+
+def test_singleton_table_is_the_per_m_dp():
+    for n in (0, 2, 3, 17, 100):
+        table = cj.singleton_table(n)
+        assert list(table) == list(range(2, n))
+        assert table == {i: counting.dd_count((i,), n) for i in range(2, n)}, n
+
+
+def test_reports_refuse_beyond_the_dp_cap():
+    with pytest.raises(CapExceeded):
+        cj.singleton_table(counting.DP_CAP + 1)
+    with pytest.raises(CapExceeded):
+        cj.ratio_series_report((2,), (4,), n_max=counting.DP_CAP + 1)
+
+
+def test_ratio_series_rows_are_the_per_n_dp():
+    report = cj.ratio_series_report((3, 7), (5, 9, 10), 40)
+    for n, num, den, _, _ in report.rows:
+        assert int(num) == counting.dd_count((3, 7), n)
+        assert int(den) == counting.dd_count((5, 9, 10), n)
 
 
 def test_equidistribution_window_arithmetic():

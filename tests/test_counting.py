@@ -143,3 +143,53 @@ def test_full_ascent_ratio_observation():
     # forces the first step to ascend
     for n in range(4, 13):
         assert counting.dd_ascent_count((3,), n) == counting.dd_count((3,), n)
+
+
+def test_singleton_row_matches_per_m_dp():
+    for n in range(0, 61):
+        assert counting.dd_singleton_row(n) == {
+            m: counting.dd_count((m,), n) for m in range(2, n)
+        }, n
+
+
+def test_singleton_row_matches_census():
+    for n in range(0, 10):
+        census = bf.dd_census(n)
+        assert counting.dd_singleton_row(n) == {
+            m: census.get((m,), 0) for m in range(2, n)
+        }, n
+
+
+def test_per_m_dp_reverse_complement_symmetry():
+    # the row fills m > ceil(n/2) from this symmetry; the per-m DP
+    # computes both sides independently
+    for n in range(0, 41):
+        for m in range(2, n):
+            assert counting.dd_count((m,), n) == counting.dd_count((n + 1 - m,), n)
+
+
+@pytest.mark.parametrize("indices", [(), (3,), (2, 5), (3, 4, 5), (2, 4), (4, 8, 12)])
+def test_forward_columns_match_per_n_dp(indices):
+    assert counting.dd_counts(indices, 40) == [
+        counting.dd_count(indices, n) for n in range(0, 41)
+    ]
+    assert counting.dd_ascent_counts(indices, 40)[2:] == [
+        counting.dd_ascent_count(indices, n) for n in range(2, 41)
+    ]
+
+
+def test_empty_set_columns_match_convolutions():
+    assert counting.dd_counts((), 150) == counting.no_dd_counts(150)
+    assert counting.dd_ascent_counts((), 150) == counting.no_dd_ascent_counts(150)
+
+
+def test_columns_and_row_caps():
+    with pytest.raises(CapExceeded):
+        counting.dd_counts((2,), counting.DP_CAP + 1)
+    with pytest.raises(CapExceeded):
+        counting.dd_ascent_counts((), counting.DP_CAP + 1)
+    with pytest.raises(CapExceeded):
+        counting.dd_singleton_row(counting.DP_CAP + 1)
+    assert counting.dd_counts((2,), 3, cap=3) == [0, 0, 0, 1]
+    with pytest.raises(ValueError):
+        counting.dd_counts((), -1)

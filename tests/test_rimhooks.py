@@ -173,6 +173,12 @@ def test_count_empty():
         assert rh.count_empty(n) == bf.count_rimhooks_exact((), n)
 
 
+def test_count_empty_matches_binomial_sum_to_40():
+    # F(n+1) = sum_k C(n-k+1, k-1): the same hooks counted by height
+    for n in range(2, 41):
+        assert rh.count_empty(n) == rh.count_empty_binomial(n), n
+
+
 def test_recurrence_report():
     rows = rh.recurrence_report((2,), 10)
     assert all(row.passed for row in rows)

@@ -1,4 +1,5 @@
-"""Deep exhaustive equivalence checks (opt in with ``-m slow``).
+"""Deep exhaustive equivalence checks (marked ``slow``: the default run
+includes them, ``-m "not slow"`` leaves them out).
 
 The default suite already checks the dynamic program against
 enumeration exhaustively up to n = 9; these push the same comparison to
