@@ -8,19 +8,22 @@ so the two routes check each other.
 The permutation sweep is vectorized with numpy and partitioned by first
 element to bound memory; the returned counts are independent of the
 partitioning.  Values are int8 (fine for n <= 12), counts are Python
-ints.
+ints.  numpy is imported on the first sweep, not at import, so code that
+never enumerates (the CLI's DP, series and rim-hook commands, cap
+refusals) does not pay for loading it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import CapExceeded
 from .perms import IndexSet, as_index_set
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Default n! enumeration cap; the census of 11! = 39_916_800 rows takes a
 # few seconds (1.6 to 5.8 s measured on a shared 2-vCPU VM).
@@ -48,6 +51,7 @@ def _perm_indices(k: int) -> np.ndarray:
     Built by prefixing each choice of first index to the permutations of
     the remaining indices, which is one fancy-indexing pass per choice.
     """
+    import numpy as np
     if k == 0:
         return np.empty((1, 0), dtype=np.int8)
     sub = _perm_indices(k - 1)
@@ -61,11 +65,13 @@ def _perm_indices(k: int) -> np.ndarray:
 
 def _perm_array(values: tuple[int, ...]) -> np.ndarray:
     """All permutations of ``values`` as an int8 array, lexicographic rows."""
+    import numpy as np
     return np.asarray(values, dtype=np.int8)[_perm_indices(len(values))]
 
 
 def _perm_blocks(values: tuple[int, ...]) -> Iterator[np.ndarray]:
     """Yield all permutations of ``values`` in memory-bounded blocks."""
+    import numpy as np
     if len(values) <= _BLOCK_MAX:
         yield _perm_array(values)
         return
@@ -85,6 +91,7 @@ def _mask_of(indices: Iterable[int]) -> int:
 
 def _dd_masks(block: np.ndarray) -> np.ndarray:
     """Bitmask of double-descent positions per row (bit i = position i)."""
+    import numpy as np
     rows, n = block.shape
     masks = np.zeros(rows, dtype=np.int32)
     if n >= 3:
@@ -99,6 +106,7 @@ def _dd_masks(block: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _dd_census(n: int) -> tuple[dict[int, int], dict[int, int]]:
     """(all permutations, initial-ascent permutations) keyed by DD mask."""
+    import numpy as np
     if n <= 1:
         return {0: 1}, {}
     total: Counter[int] = Counter()
@@ -118,6 +126,7 @@ def _dd_census(n: int) -> tuple[dict[int, int], dict[int, int]]:
 @lru_cache(maxsize=8)
 def _descent_census(n: int) -> dict[int, int]:
     """All permutations keyed by descent-set mask (bit i = position i)."""
+    import numpy as np
     if n <= 1:
         return {0: 1}
     table: Counter[int] = Counter()
@@ -233,6 +242,7 @@ def count_circular_no_dd_exact(n: int, cap: int = DEFAULT_CAP) -> int:
         raise ValueError("circular double descents need n >= 2")
     _check_cap(n - 1, cap, "circular brute-force count",
                "use ddperm.circular.count_no_cyclic_dd")
+    import numpy as np
     total = 0
     for block in _perm_blocks(tuple(range(1, n))):
         first = np.full((block.shape[0], 1), n, dtype=np.int8)

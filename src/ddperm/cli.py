@@ -3,7 +3,8 @@
 Batch tool for researchers: every subcommand prints deterministic text
 (byte-identical for identical invocations; ``--timing`` adds one extra
 line) and exits 0 on success, 1 when a cross-check fails, 2 when a
-resource cap refuses the computation, 64 on usage errors.
+resource cap refuses the computation, 64 on usage errors, 73 when an
+``--out`` file cannot be written.
 
 Exact integers in JSON output are encoded as strings so downstream
 consumers cannot truncate them at 64 bits.
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CAP = 2
 EXIT_USAGE = 64
+EXIT_CANTCREAT = 73
 
 BRUTE_CAP_ENV = "DDPERM_BRUTE_CAP"
 
@@ -547,6 +549,12 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"ddperm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:  # a failed identity inside a computation
+        print(f"ddperm: check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except OSError as exc:
+        print(f"ddperm: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
 
 
 if __name__ == "__main__":

@@ -88,11 +88,8 @@ def write_report(report: ConjectureReport, fmt: str, path) -> None:
         text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     else:
         raise ValueError(f"unknown report format: {fmt!r}")
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def singleton_table(n: int) -> dict[int, int]:
@@ -121,7 +118,8 @@ def equidistribution_report(n: int, alpha: Fraction, beta: Fraction,
     for m in range(n_min, n + 1):
         table = singleton_table(m)
         total = sum(table.values())
-        window = [i for i in table if alpha * m < i < beta * m]
+        lo, hi = alpha * m, beta * m
+        window = [i for i in table if lo < i < hi]
         inside = sum(table[i] for i in window)
         share = (beta - alpha) * total
         if not window or share == 0:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ddperm import cli, counting
+from ddperm import cli, counting, series
 
 
 def run_cli(*args, env=None):
@@ -110,6 +110,19 @@ def test_table_out_file(tmp_path):
     result = run_cli("table", "--family", "b", "--to", "4", "--out", str(out))
     assert result.returncode == 0
     assert out.read_text().endswith("4,9\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--family", "b", "--to", "5"),
+    ("conjecture", "run", "--id", "6.2", "--n", "10"),
+])
+def test_unwritable_out_exits_73(tmp_path, argv):
+    out = tmp_path / "missing" / "x.csv"
+    result = run_cli(*argv, "--out", str(out))
+    assert result.returncode == 73
+    assert result.stderr.startswith("ddperm: cannot write output: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.stderr
 
 
 def test_table_missing_flag_is_usage_error():
@@ -229,6 +242,57 @@ def test_selftest_reports_injected_failure(monkeypatch, capsys):
     assert "FAIL known-values" in out.out
     assert "22420" in out.out
     assert "first witness" in out.err
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ArithmeticError, 1, "ddperm: check failed: "),
+    (ZeroDivisionError, 64, "ddperm: error: "),
+])
+def test_arithmetic_errors_exit_with_one_line(monkeypatch, capsys,
+                                              error, code, prefix):
+    # a failed identity is a failed check; division by zero stays an error
+    def broken(egf):
+        raise error("planted")
+
+    monkeypatch.setattr(series, "integer_coefficients", broken)
+    assert cli.main(["egf-check", "--which", "b", "--order", "5"]) == code
+    err = capsys.readouterr().err
+    assert err == prefix + "planted\n"
+
+
+_NUMPY_PROBE = """
+import contextlib, io, sys
+import ddperm, ddperm.cli
+code = None
+if len(sys.argv) > 1:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ddperm.cli.main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, code, loads_numpy", [
+    ((), None, False),
+    (("count", "--set", "6", "--n", "9"), 0, False),
+    (("table", "--family", "b", "--to", "10"), 0, False),
+    (("table", "--family", "singleton", "--n", "12"), 0, False),
+    (("egf-check", "--which", "b", "--order", "10"), 0, False),
+    (("rimhook", "count", "--set", "2", "--length", "8"), 0, False),
+    (("rimhook", "list", "--set", "2", "--length", "6"), 0, False),
+    (("circular", "count", "--n", "8"), 0, False),
+    (("estimate", "--m", "6", "--n", "8"), 0, False),
+    (("conjecture", "run", "--id", "6.2", "--n", "12"), 0, False),
+    (("count", "--set", "5,2", "--n", "6"), 64, False),
+    (("count", "--set", "2", "--n", "13", "--method", "brute"), 2, False),
+    (("circular", "count", "--n", "14", "--method", "brute"), 2, False),
+    (("count", "--set", "2", "--n", "6", "--all-methods"), 0, True),
+])
+def test_numpy_loads_only_for_sweeps(argv, code, loads_numpy):
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *argv],
+        capture_output=True, text=True,
+    )
+    assert result.stdout == f"{code} {loads_numpy}\n", result.stderr
 
 
 def test_set_parsing_unit():
