@@ -9,14 +9,10 @@ position n compares w_{n-1} > w_n > w_1.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .errors import CapExceeded
 from .perms import IndexSet, Perm, check_permutation
 from .counting import no_dd_ascent_counts
-
-REPRESENTATIVE_CAP = 12
 
 
 def rotate(w: Iterable[int]) -> Perm:
@@ -55,17 +51,6 @@ def cyclic_double_descent_set(w: Iterable[int]) -> IndexSet:
         if prev > cur > nxt:
             out.append(i)
     return tuple(out)
-
-
-def iterate_representatives(n: int, cap: int = REPRESENTATIVE_CAP) -> Iterator[Perm]:
-    """The (n-1)! canonical representatives (w_1 = n), lexicographic in
-    the remaining entries."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > cap:
-        raise CapExceeded(f"enumerating {n - 1}! representatives exceeds cap {cap}")
-    for rest in itertools.permutations(range(1, n)):
-        yield (n,) + rest
 
 
 def count_no_cyclic_dd(n: int) -> int:

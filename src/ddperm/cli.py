@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import bruteforce, circular, conjectures, counting, rimhooks, series
 from .errors import CapExceeded
-from .render import csv_text, decimal_str, percent_str
+from .render import csv_text, decimal_str, percent_str, set_str
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -59,10 +59,6 @@ def parse_set_option(text: str) -> tuple[int, ...]:
     if any(v < 1 for v in values):
         raise UsageError(f"set entries must be positive: {text!r}")
     return tuple(values)
-
-
-def _set_str(indices: tuple[int, ...]) -> str:
-    return "{" + ",".join(str(i) for i in indices) + "}"
 
 
 def _brute_cap() -> int:
@@ -103,13 +99,13 @@ def cmd_count(args) -> int:
         for method in methods:
             value = _count_one(method, indices, args.n)
             results[method] = value
-            print(f"dd({_set_str(indices)};{args.n}) = {value}  [method: {method}]")
+            print(f"dd({set_str(indices)};{args.n}) = {value}  [method: {method}]")
         agreed = len(set(results.values())) == 1
         print(f"agreement: {'OK' if agreed else 'MISMATCH'}")
         code = EXIT_OK if agreed else EXIT_CHECK_FAILED
     else:
         value = _count_one(args.method, indices, args.n)
-        print(f"dd({_set_str(indices)};{args.n}) = {value}  [method: {args.method}]")
+        print(f"dd({set_str(indices)};{args.n}) = {value}  [method: {args.method}]")
         code = EXIT_OK
     if args.timing:
         print(f"time: {time.perf_counter() - start:.3f}s")
@@ -190,10 +186,10 @@ def cmd_rimhook(args) -> int:
             method = "formula"
         else:
             raise CapExceeded(
-                f"no formula for {_set_str(indices)} and n={n} is beyond the "
+                f"no formula for {set_str(indices)} and n={n} is beyond the "
                 "enumeration cap"
             )
-        print(f"R({_set_str(indices)};{n}) = {value}  [method: {method}]")
+        print(f"R({set_str(indices)};{n}) = {value}  [method: {method}]")
         return EXIT_OK
     if args.action == "minimal":
         if args.height is None:
@@ -217,7 +213,7 @@ def cmd_rimhook(args) -> int:
         low, high = rimhooks.dd_bounds(indices, args.length)
         exact = counting.dd_count(indices, args.length)
         print(f"lower = {low}")
-        print(f"exact dd({_set_str(indices)};{args.length}) = {exact}")
+        print(f"exact dd({set_str(indices)};{args.length}) = {exact}")
         print(f"upper = {high}")
         bracketed = low <= exact <= high
         print(f"bracketed: {'yes' if bracketed else 'NO'}")
@@ -237,12 +233,11 @@ def cmd_circular(args) -> int:
 def cmd_egf_check(args) -> int:
     order = args.order
     if args.which == "b":
-        egf = series.egf_no_dd_ascent(order)
-        expected = counting.no_dd_ascent_counts(order)
+        sequence, egf = counting.no_dd_ascent_counts, series.egf_no_dd_ascent
     else:
-        egf = series.egf_no_dd(order)
-        expected = counting.no_dd_counts(order)
-    actual = series.integer_coefficients(egf)
+        sequence, egf = counting.no_dd_counts, series.egf_no_dd
+    expected = sequence(order)  # first: its cap refuses before the series expands
+    actual = series.integer_coefficients(egf(order))
     failures = 0
     for n, (got, want) in enumerate(zip(actual, expected)):
         ok = got == want
@@ -300,157 +295,17 @@ def cmd_conjecture(args) -> int:
     return EXIT_CHECK_FAILED if report.verdict is conjectures.Verdict.VIOLATED else EXIT_OK
 
 
-def _selftest_checks():
-    """(name, callable) pairs; each callable returns None when the check
-    passes or a short witness string."""
-
-    def known_values():
-        expected = {
-            ((2,), 4): 3, ((), 4): 17, ((3,), 6): 66, ((4,), 7): 462,
-            ((5,), 8): 2904, ((6,), 7): 426, ((6,), 8): 2491,
-            ((6,), 9): 22419,
-        }
-        for (indices, n), want in expected.items():
-            got = counting.dd_count(indices, n)
-            if got != want:
-                return f"dd({_set_str(indices)};{n}) = {got}, expected {want}"
-        if counting.no_dd_ascent_counts(4)[4] != 9:
-            return "ascent-start count at n=4 is not 9"
-        return None
-
-    def dp_vs_brute():
-        import itertools
-
-        for n in range(0, 8):
-            census = bruteforce.dd_census(n)
-            positions = list(range(2, n))
-            for r in range(len(positions) + 1):
-                for indices in itertools.combinations(positions, r):
-                    brute = census.get(indices, 0)
-                    fast = counting.dd_count(indices, n)
-                    if brute != fast:
-                        return (
-                            f"dd({_set_str(indices)};{n}): dp {fast} != "
-                            f"brute {brute}"
-                        )
-        return None
-
-    def partition_of_factorial():
-        import itertools
-        from math import factorial
-
-        for n in range(0, 8):
-            positions = list(range(2, n))
-            total = sum(
-                counting.dd_count(indices, n)
-                for r in range(len(positions) + 1)
-                for indices in itertools.combinations(positions, r)
-            )
-            if total != factorial(n):
-                return f"sum over sets at n={n} is {total} != {n}!"
-        return None
-
-    def singleton_recursion():
-        for m in range(4, 7):
-            for n in range(m, 10):
-                rec = counting.dd_singleton_recursion(m, n)
-                direct = counting.dd_count((m,), n + 1)
-                if rec != direct:
-                    return f"recursion dd({{{m}}};{n + 1}) = {rec} != {direct}"
-        return None
-
-    def estimator_digits():
-        estimate = counting.dd_singleton_estimate(6, 8)
-        text = decimal_str(estimate, 3)
-        if text != "22419.118":
-            return f"estimate renders as {text}"
-        rel = abs(estimate - 22419) / 22419
-        if percent_str(rel, 2) != "0.00053%":
-            return f"relative error renders as {percent_str(rel, 2)}"
-        return None
-
-    def egf_coefficients():
-        order = 12
-        if series.integer_coefficients(series.egf_no_dd_ascent(order)) != (
-            counting.no_dd_ascent_counts(order)
-        ):
-            return "ascent-start generating function mismatch"
-        if series.integer_coefficients(series.egf_no_dd(order)) != (
-            counting.no_dd_counts(order)
-        ):
-            return "no-double-descent generating function mismatch"
-        return None
-
-    def rimhook_formulas():
-        for n in range(2, 13):
-            if rimhooks.count_empty(n) != bruteforce.count_rimhooks_exact((), n):
-                return f"empty-set rim hook count differs at n={n}"
-        for m in range(2, 7):
-            for n in range(m + 1, 13):
-                formula = rimhooks.count_singleton(m, n)
-                oracle = bruteforce.count_rimhooks_exact((m,), n)
-                if formula != oracle:
-                    return f"singleton rim hook count differs at m={m}, n={n}"
-        return None
-
-    def tableau_sum_identity():
-        import itertools
-
-        for n in range(1, 8):
-            positions = list(range(2, n))
-            for r in range(len(positions) + 1):
-                for indices in itertools.combinations(positions, r):
-                    via = rimhooks.dd_count_via_rimhooks(indices, n)
-                    fast = counting.dd_count(indices, n)
-                    if via != fast:
-                        return (
-                            f"tableau sum dd({_set_str(indices)};{n}) = {via} "
-                            f"!= {fast}"
-                        )
-        return None
-
-    def bounds_bracket():
-        for n in range(2, 8):
-            low, high = rimhooks.dd_bounds((), n)
-            exact = counting.dd_count((), n)
-            if not low <= exact <= high:
-                return f"bounds at n={n} do not bracket: {low}, {exact}, {high}"
-        return None
-
-    def circular_counts():
-        for n in range(3, 9):
-            exact = bruteforce.count_circular_no_dd_exact(n)
-            formula = circular.count_no_cyclic_dd(n)
-            if exact != formula:
-                return f"circular count at n={n}: {exact} != {formula}"
-        return None
-
-    return [
-        ("known-values", known_values),
-        ("dp-vs-brute-exhaustive-n7", dp_vs_brute),
-        ("partition-of-n-factorial", partition_of_factorial),
-        ("singleton-recursion", singleton_recursion),
-        ("estimator-digits", estimator_digits),
-        ("generating-function-coefficients", egf_coefficients),
-        ("rimhook-fibonacci-formulas", rimhook_formulas),
-        ("tableau-sum-identity", tableau_sum_identity),
-        ("tableau-bounds-bracket", bounds_bracket),
-        ("circular-rotation-counts", circular_counts),
-    ]
-
-
 def cmd_selftest(args) -> int:
-    first_witness = None
-    for name, check in _selftest_checks():
+    from .checks import CHECKS  # here, so no other subcommand loads it
+
+    failures = []
+    for name, check in CHECKS.items():
         witness = check()
-        if witness is None:
-            print(f"PASS {name}")
-        else:
-            print(f"FAIL {name}: {witness}")
-            if first_witness is None:
-                first_witness = f"{name}: {witness}"
-    if first_witness is not None:
-        print(f"selftest failed, first witness: {first_witness}", file=sys.stderr)
+        print(f"PASS {name}" if witness is None else f"FAIL {name}: {witness}")
+        if witness is not None:
+            failures.append(f"{name}: {witness}")
+    if failures:
+        print(f"selftest failed, first witness: {failures[0]}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -526,7 +381,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("selftest",
-                       help="reduced-scale cross-method agreement suite")
+                       help="run the acceptance cross-checks (no time budgets)")
     p.set_defaults(func=cmd_selftest)
 
     return parser

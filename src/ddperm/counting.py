@@ -165,6 +165,8 @@ def dd_singleton_row(n: int, cap: int = DP_CAP) -> dict[int, int]:
     kept only up to length ceil(n/2); the other half of the row follows
     from the reverse-complement symmetry dd({m}; n) = dd({n+1-m}; n).
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n > cap:
         raise CapExceeded(f"singleton row at n={n} exceeds the cap {cap}")
     half = -(-n // 2)
@@ -184,6 +186,10 @@ def dd_singleton_row(n: int, cap: int = DP_CAP) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _no_dd_ascent(n_max: int) -> tuple[int, ...]:
+    # O(n_max^2) products of growing big integers; at the cap,
+    # no_dd_counts takes 16-19 s (about 1 s at n_max = 500)
+    if n_max > DP_CAP:
+        raise CapExceeded(f"convolution sequence to n={n_max} exceeds the cap {DP_CAP}")
     if n_max < 1:
         return (1,)[: n_max + 1]
     values = [1, 1]

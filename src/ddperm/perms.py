@@ -90,16 +90,6 @@ def has_initial_ascent(w: Iterable[int]) -> bool:
     return word[0] < word[1]
 
 
-def reverse_complement(w: Iterable[int]) -> Perm:
-    """The word v with v_i = n+1 - w_{n+1-i}.
-
-    Reflects descent positions: i in Des(w) iff n-i in Des(rc(w)).
-    """
-    word = check_permutation(w)
-    n = len(word)
-    return tuple(n + 1 - x for x in reversed(word))
-
-
 def iterate_permutations(n: int, cap: int = ITERATION_CAP) -> Iterator[Perm]:
     """Yield the n! permutations of [n] in lexicographic order.
 

@@ -21,6 +21,11 @@ def round_half_even(x: Fraction) -> int:
     return floor if floor % 2 == 0 else floor + 1
 
 
+def set_str(indices) -> str:
+    """Index-set notation for messages: (2, 5) -> "{2,5}", () -> "{}"."""
+    return "{" + ",".join(str(i) for i in indices) + "}"
+
+
 def decimal_str(x: Fraction | int, places: int = 6) -> str:
     """Fixed-point decimal rendering with the given number of places."""
     x = Fraction(x)

@@ -4,10 +4,10 @@ import sys
 
 import pytest
 
-from ddperm import cli, counting, series
+from ddperm import checks, cli, counting, series
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     import os
 
     merged = dict(os.environ)
@@ -18,6 +18,7 @@ def run_cli(*args, env=None):
         capture_output=True,
         text=True,
         env=merged,
+        timeout=timeout,
     )
 
 
@@ -59,6 +60,19 @@ def test_singleton_table_cap_exit_code():
     assert result.returncode == 2
     assert "cap" in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--family", "b", "--to", "3000"),
+    ("egf-check", "--which", "ddempty", "--order", "3000"),
+])
+def test_sequence_cap_refuses_at_once(argv):
+    # these ran for minutes; egf-check must refuse before expanding the series
+    result = run_cli(*argv, timeout=20)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("ddperm: resource cap: ")
+    assert len(result.stderr.splitlines()) == 1
 
 
 def test_brute_cap_env_override():
@@ -128,6 +142,13 @@ def test_unwritable_out_exits_73(tmp_path, argv):
 def test_table_missing_flag_is_usage_error():
     assert run_cli("table", "--family", "b").returncode == 64
     assert run_cli("table", "--family", "singleton").returncode == 64
+
+
+def test_table_singleton_negative_n_is_usage_error():
+    result = run_cli("table", "--family", "singleton", "--n", "-2")
+    assert result.returncode == 64
+    assert result.stdout == ""
+    assert result.stderr == "ddperm: error: n must be nonnegative\n"
 
 
 def test_stdout_is_deterministic():
@@ -221,27 +242,40 @@ def test_conjecture_64_requires_singletons():
 def test_selftest_passes():
     result = run_cli("selftest")
     assert result.returncode == 0
-    lines = result.stdout.splitlines()
-    assert lines and all(line.startswith("PASS") for line in lines)
+    assert result.stdout == "".join(f"PASS {name}\n" for name in checks.CHECKS)
 
 
-def test_selftest_reports_injected_failure(monkeypatch, capsys):
+_PLANTED_OFF_BY_ONE = """
+import sys
+from ddperm import cli, counting
+real = counting.dd_count
+def broken(indices, n, cap=counting.DP_CAP):
+    value = real(indices, n, cap)
+    return value + 1 if tuple(indices) == (6,) and n == 9 else value
+counting.dd_count = broken
+sys.exit(cli.main(["selftest"]))
+"""
+
+
+def _selftest_names_planted_failure(*flags):
     # an off-by-one planted in the fast counter must be caught and named
-    real = counting.dd_count
+    result = subprocess.run(
+        [sys.executable, *flags, "-c", _PLANTED_OFF_BY_ONE],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert "FAIL known-values" in result.stdout
+    assert "22420" in result.stdout
+    assert "first witness" in result.stderr
 
-    def broken(indices, n, cap=counting.DP_CAP):
-        value = real(indices, n, cap)
-        if tuple(indices) == (6,) and n == 9:
-            return value + 1
-        return value
 
-    monkeypatch.setattr(counting, "dd_count", broken)
-    code = cli.main(["selftest"])
-    out = capsys.readouterr()
-    assert code == 1
-    assert "FAIL known-values" in out.out
-    assert "22420" in out.out
-    assert "first witness" in out.err
+def test_selftest_reports_injected_failure():
+    _selftest_names_planted_failure()
+
+
+def test_selftest_reports_injected_failure_under_optimize():
+    # -O strips assert statements; the checks must not rely on them
+    _selftest_names_planted_failure("-O")
 
 
 @pytest.mark.parametrize("error, code, prefix", [
@@ -267,7 +301,7 @@ code = None
 if len(sys.argv) > 1:
     with contextlib.redirect_stdout(io.StringIO()):
         code = ddperm.cli.main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(code, "numpy" in sys.modules, "ddperm.checks" in sys.modules)
 """
 
 
@@ -286,13 +320,15 @@ print(code, "numpy" in sys.modules)
     (("count", "--set", "2", "--n", "13", "--method", "brute"), 2, False),
     (("circular", "count", "--n", "14", "--method", "brute"), 2, False),
     (("count", "--set", "2", "--n", "6", "--all-methods"), 0, True),
+    (("selftest",), 0, True),
 ])
 def test_numpy_loads_only_for_sweeps(argv, code, loads_numpy):
+    loads_checks = argv == ("selftest",)
     result = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE, *argv],
         capture_output=True, text=True,
     )
-    assert result.stdout == f"{code} {loads_numpy}\n", result.stderr
+    assert result.stdout == f"{code} {loads_numpy} {loads_checks}\n", result.stderr
 
 
 def test_set_parsing_unit():

@@ -193,3 +193,8 @@ def test_columns_and_row_caps():
     assert counting.dd_counts((2,), 3, cap=3) == [0, 0, 0, 1]
     with pytest.raises(ValueError):
         counting.dd_counts((), -1)
+    with pytest.raises(ValueError):
+        counting.dd_singleton_row(-2)
+    for sequence in (counting.no_dd_counts, counting.no_dd_ascent_counts):
+        with pytest.raises(CapExceeded):
+            sequence(counting.DP_CAP + 1)

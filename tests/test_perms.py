@@ -11,7 +11,6 @@ from ddperm.perms import (
     has_initial_ascent,
     iterate_permutations,
     peak_set,
-    reverse_complement,
 )
 
 
@@ -100,12 +99,3 @@ def test_statistic_ranges():
                 assert 2 <= i <= n - 1
             for i in peak_set(w):
                 assert 2 <= i <= n - 1
-
-
-def test_reverse_complement_reflects_descents():
-    for n in range(1, 8):
-        for w in iterate_permutations(n):
-            mirrored = descent_set(reverse_complement(w))
-            assert mirrored == tuple(
-                sorted(n - i for i in descent_set(w))
-            )
