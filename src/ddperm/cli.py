@@ -19,7 +19,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import bruteforce, circular, conjectures, counting, rimhooks, series
+# computing modules are imported where used: a run compiles only its own
 from .errors import CapExceeded
 from .render import csv_text, decimal_str, percent_str, set_str
 
@@ -62,6 +62,7 @@ def parse_set_option(text: str) -> tuple[int, ...]:
 
 
 def _brute_cap() -> int:
+    from . import bruteforce
     raw = os.environ.get(BRUTE_CAP_ENV)
     if raw is None:
         return bruteforce.DEFAULT_CAP
@@ -78,10 +79,13 @@ def _brute_cap() -> int:
 
 def _count_one(method: str, indices: tuple[int, ...], n: int) -> int:
     if method == "dp":
+        from . import counting
         return counting.dd_count(indices, n)
     if method == "brute":
+        from . import bruteforce
         return bruteforce.count_dd_exact(indices, n, cap=_brute_cap())
     if method == "rimhook":
+        from . import rimhooks
         return rimhooks.dd_count_via_rimhooks(indices, n)
     raise UsageError(f"unknown method {method!r}")
 
@@ -90,6 +94,7 @@ def cmd_count(args) -> int:
     indices = parse_set_option(args.set)
     start = time.perf_counter()
     if args.all_methods:
+        from . import rimhooks
         methods = ["dp"]
         if args.n <= _brute_cap():
             methods.append("brute")
@@ -121,6 +126,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_table(args) -> int:
+    from . import counting
     if args.family in ("b", "ddempty"):
         if args.to is None:
             raise UsageError(f"--family {args.family} needs --to")
@@ -141,7 +147,7 @@ def cmd_table(args) -> int:
     else:  # singleton
         if args.n is None:
             raise UsageError("--family singleton needs --n")
-        table = conjectures.singleton_table(args.n)
+        table = counting.dd_singleton_row(args.n)
         if args.format == "csv":
             rows = [(args.n, i, str(v)) for i, v in sorted(table.items())]
             text = csv_text(("n", "i", "value"), rows)
@@ -162,6 +168,7 @@ def cmd_rimhook(args) -> int:
         if args.length is None:
             raise UsageError("rimhook list needs --length")
         indices = parse_set_option(args.set)
+        from . import rimhooks
         hooks = rimhooks.enumerate_rimhooks(indices, args.length)
         for hook in hooks:
             print(rimhooks.format_skew(hook))
@@ -175,13 +182,16 @@ def cmd_rimhook(args) -> int:
             raise UsageError("rimhook count needs --length")
         indices = parse_set_option(args.set)
         n = args.length
+        from . import bruteforce
         if n - 1 <= bruteforce.DEFAULT_MASK_CAP:
             value = bruteforce.count_rimhooks_exact(indices, n)
             method = "enumeration"
         elif indices == ():
+            from . import rimhooks
             value = rimhooks.count_empty(n)
             method = "formula"
         elif len(indices) == 1:
+            from . import rimhooks
             value = rimhooks.count_singleton(indices[0], n)
             method = "formula"
         else:
@@ -195,6 +205,7 @@ def cmd_rimhook(args) -> int:
         if args.height is None:
             raise UsageError("rimhook minimal needs --height")
         indices = parse_set_option(args.set)
+        from . import rimhooks
         hook = rimhooks.minimal_search(indices, args.height)
         if hook is None:
             print(
@@ -210,6 +221,7 @@ def cmd_rimhook(args) -> int:
         if args.length is None:
             raise UsageError("rimhook bounds needs --length")
         indices = parse_set_option(args.set)
+        from . import counting, rimhooks
         low, high = rimhooks.dd_bounds(indices, args.length)
         exact = counting.dd_count(indices, args.length)
         print(f"lower = {low}")
@@ -223,14 +235,17 @@ def cmd_rimhook(args) -> int:
 
 def cmd_circular(args) -> int:
     if args.method == "formula":
+        from . import circular
         value = circular.count_no_cyclic_dd(args.n)
     else:
+        from . import bruteforce
         value = bruteforce.count_circular_no_dd_exact(args.n, cap=_brute_cap())
     print(f"circular-no-dd({args.n}) = {value}  [method: {args.method}]")
     return EXIT_OK
 
 
 def cmd_egf_check(args) -> int:
+    from . import counting, series
     order = args.order
     if args.which == "b":
         sequence, egf = counting.no_dd_ascent_counts, series.egf_no_dd_ascent
@@ -248,6 +263,7 @@ def cmd_egf_check(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from . import counting
     estimate = counting.dd_singleton_estimate(args.m, args.n)
     print(f"estimate dd({{{args.m}}};{args.n + 1}) = {decimal_str(estimate, 3)}")
     exact = counting.dd_count((args.m,), args.n + 1)
@@ -259,6 +275,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    from . import conjectures
     n = args.n
     if args.id == "6.1":
         report = conjectures.equidistribution_report(

@@ -251,18 +251,35 @@ def minimal_empty(h: int) -> RimHook:
     return RimHook((1,) + (2,) * (h - 2) + (1,))
 
 
+def realizable(dd_set: Iterable[int]) -> bool:
+    """Whether some permutation (equivalently, some rim hook) has exactly
+    this double-descent set: every entry is at least 2, and no i has i
+    and i + 2 in the set without i + 1 (the descents at i - 1 .. i + 2
+    would make i + 1 a double descent too)."""
+    indices = as_index_set(dd_set)
+    return all(i >= 2 and (i + 2 not in indices or i + 1 in indices)
+               for i in indices)
+
+
 def minimal_search(dd_set: Iterable[int], h: int,
                    max_len: int | None = None) -> RimHook | None:
     """Search for a minimal-length rim hook of height h with the given
     double-descent set; ties broken by lexicographically smallest row
-    tuple.  Returns None when nothing exists up to ``max_len`` (callers
-    cannot distinguish a cap miss from nonexistence; the default cap is
-    generous for the sets that do exist)."""
+    tuple.  Returns None at once for a set no hook of height h can have
+    (not :func:`realizable`, or too few rows), else when nothing exists up
+    to ``max_len`` (callers cannot distinguish a cap miss from
+    nonexistence; the default cap is generous for the sets that do exist)."""
     indices = as_index_set(dd_set)
     if h < 1:
         raise ValueError("height must be >= 1")
     if max_len is None:
         max_len = 2 * h + 2 * max(indices, default=0) + 2
+    # each double descent i needs descents at i - 1 and i, and a hook of
+    # height h has h - 1 descents: answer before walking C(n-1, h-1)
+    # compositions per length
+    needed = {j for i in indices for j in (i - 1, i)}
+    if not realizable(indices) or len(needed) > h - 1:
+        return None
     for n in range(h, max_len + 1):
         for rows in _compositions(n, h):
             hook = RimHook(rows)

@@ -179,6 +179,19 @@ def test_rimhook_minimal():
     assert "none found up to length" in result.stdout
 
 
+@pytest.mark.parametrize("height, line", [
+    ("6", "none found up to length 22\n"),
+    ("12", "none found up to length 34\n"),
+])
+def test_rimhook_minimal_unrealizable_answers_at_once(height, line):
+    # {2,4} is no double-descent set; the composition walk took 49 s at
+    # height 9 and passed a minute at height 10
+    result = run_cli("rimhook", "minimal", "--set", "2,4", "--height", height,
+                     timeout=5)
+    assert result.returncode == 0
+    assert result.stdout == line
+
+
 def test_rimhook_bounds():
     result = run_cli("rimhook", "bounds", "--set", "3", "--length", "6")
     assert result.returncode == 0
@@ -329,6 +342,44 @@ def test_numpy_loads_only_for_sweeps(argv, code, loads_numpy):
         capture_output=True, text=True,
     )
     assert result.stdout == f"{code} {loads_numpy} {loads_checks}\n", result.stderr
+
+
+_IMPORT_PROBE = """
+import contextlib, io, sys
+import ddperm
+if len(sys.argv) > 1:
+    from ddperm import cli
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        cli.main(sys.argv[1:])
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "ddperm"))
+"""
+
+_COMPUTING = {"ddperm." + m for m in (
+    "bruteforce", "checks", "circular", "conjectures", "counting", "rimhooks",
+    "series")}
+
+
+@pytest.mark.parametrize("argv, computing", [
+    ((), None),
+    (("count", "--set", "5,2", "--n", "6"), set()),
+    (("count", "--set", "6", "--n", "9"), {"counting"}),
+    (("table", "--family", "singleton", "--n", "12"), {"counting"}),
+    (("egf-check", "--which", "b", "--order", "10"), {"counting", "series"}),
+])
+def test_subcommand_loads_only_its_modules(argv, computing):
+    # a CLI child compiles every module it loads (no bytecode cache is
+    # assumed), so each subcommand must load only the modules it runs
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv],
+        capture_output=True, text=True,
+    )
+    loaded = set(result.stdout.split())
+    assert result.returncode == 0, result.stderr
+    if computing is None:  # the bare package import loads no submodule
+        assert loaded == {"ddperm"}
+    else:
+        assert loaded & _COMPUTING == {"ddperm." + m for m in computing}
 
 
 def test_set_parsing_unit():

@@ -222,6 +222,30 @@ def test_minimal_search():
     assert rh.minimal_search((2,), 2) is None
 
 
+def test_realizable_is_nonzero_in_census():
+    for n in range(3, 9):
+        census = bf.dd_census(n)
+        for indices in all_index_sets(2, n - 1):
+            assert rh.realizable(indices) == (census.get(indices, 0) > 0), (
+                indices, n)
+    assert not rh.realizable((1,))
+
+
+def test_minimal_search_early_none_agrees_with_walk():
+    # the early answer for unrealizable sets and too-low heights must be
+    # what walking every composition up to the default length finds
+    for h in range(1, 5):
+        for indices in all_index_sets(1, 4):
+            max_len = 2 * h + 2 * max(indices, default=0) + 2
+            walked = next(
+                (rh.RimHook(rows) for n in range(h, max_len + 1)
+                 for rows in rh._compositions(n, h)
+                 if rh.RimHook(rows).double_descents() == indices),
+                None,
+            )
+            assert rh.minimal_search(indices, h) == walked, (indices, h)
+
+
 def test_add_square():
     assert rh.add_square(rh.RimHook((2, 2, 3)), 2).rows == (2, 3, 3)
     assert rh.add_square(rh.RimHook((1,)), 1).rows == (2,)
