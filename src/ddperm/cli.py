@@ -13,7 +13,6 @@ consumers cannot truncate them at 64 bits.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -139,6 +138,7 @@ def cmd_table(args) -> int:
         if args.format == "csv":
             text = csv_text(("n", "value"), list(enumerate(values)))
         else:
+            import json
             text = json.dumps(
                 {"family": args.family, "to": top,
                  "values": [str(v) for v in values]},
@@ -152,6 +152,7 @@ def cmd_table(args) -> int:
             rows = [(args.n, i, str(v)) for i, v in sorted(table.items())]
             text = csv_text(("n", "i", "value"), rows)
         else:
+            import json
             text = json.dumps(
                 {"family": "singleton", "n": args.n,
                  "entries": [
@@ -251,8 +252,8 @@ def cmd_egf_check(args) -> int:
         sequence, egf = counting.no_dd_ascent_counts, series.egf_no_dd_ascent
     else:
         sequence, egf = counting.no_dd_counts, series.egf_no_dd
-    expected = sequence(order)  # first: its cap refuses before the series expands
-    actual = series.integer_coefficients(egf(order))
+    actual = series.integer_coefficients(egf(order))  # refuses past its cap at once
+    expected = sequence(order)
     failures = 0
     for n, (got, want) in enumerate(zip(actual, expected)):
         ok = got == want
@@ -307,6 +308,7 @@ def cmd_conjecture(args) -> int:
         if args.format == "csv":
             sys.stdout.write(csv_text(report.columns, report.rows))
         else:
+            import json
             sys.stdout.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
     print(f"verdict: {report.verdict.value}", file=sys.stderr)
     return EXIT_CHECK_FAILED if report.verdict is conjectures.Verdict.VIOLATED else EXIT_OK

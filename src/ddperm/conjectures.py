@@ -5,25 +5,33 @@ concrete witness or support it over the computed range, never prove it.
 The three-valued verdict is part of the report type so downstream
 tooling cannot upgrade evidence into proof.  All comparisons are exact
 (integer cross-multiplication, Fractions); decimals in the rows are
-renderings only.
+renderings only, each by one integer division of the row's own
+numerator and denominator.  Fractions are built only where a verdict or
+a tail summary compares values across rows.  The 6.1 sweep builds one
+singleton row per length, so it is capped at ``EQUIDIST_CAP``.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from . import counting
 from .perms import IndexSet, as_index_set
-from .render import csv_text, decimal_str
+from .errors import CapExceeded
+from .render import csv_text, decimal_str, ratio_str
 
 # rendering precision for ratio columns (comparisons never use these)
 PLACES = 10
 
 DEFAULT_SWEEP_MAX = 30
+
+# Largest n of a 6.1 sweep: it builds one O(m^2) singleton row for every
+# m <= n, O(n^4) bit work in all; n = 400 takes about 8 s on a 2-vCPU VM.
+EQUIDIST_CAP = 400
 
 
 class Verdict(enum.Enum):
@@ -85,6 +93,7 @@ def write_report(report: ConjectureReport, fmt: str, path) -> None:
     if fmt == "csv":
         text = csv_text(report.columns, report.rows)
     elif fmt == "json":
+        import json
         text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     else:
         raise ValueError(f"unknown report format: {fmt!r}")
@@ -96,6 +105,14 @@ def singleton_table(n: int) -> dict[int, int]:
     """{i: dd({i}; n)} for all singleton positions, from one O(n^2)
     pass (:func:`ddperm.counting.dd_singleton_row`)."""
     return counting.dd_singleton_row(n)
+
+
+def _window_bounds(alpha: Fraction, beta: Fraction, m: int) -> tuple[int, int]:
+    """The first and last singleton position i in [2, m-1] with
+    alpha*m < i < beta*m (first > last when there is none)."""
+    lo = alpha.numerator * m // alpha.denominator + 1
+    hi = -(-beta.numerator * m // beta.denominator) - 1
+    return max(lo, 2), min(hi, m - 1)
 
 
 def equidistribution_report(n: int, alpha: Fraction, beta: Fraction,
@@ -113,28 +130,34 @@ def equidistribution_report(n: int, alpha: Fraction, beta: Fraction,
     beta = Fraction(beta)
     if not 0 < alpha < beta < 1:
         raise ValueError("need 0 < alpha < beta < 1")
+    if n > EQUIDIST_CAP:
+        raise CapExceeded(
+            f"6.1 sweep to n={n}: {n - n_min + 1} singleton rows exceeds "
+            f"the cap n={EQUIDIST_CAP}"
+        )
+    width = beta - alpha
     rows = []
-    ratios: list[Fraction] = []
+    pairs: list[tuple[int, int]] = []  # inside/share as (num, den)
     for m in range(n_min, n + 1):
         table = singleton_table(m)
         total = sum(table.values())
-        lo, hi = alpha * m, beta * m
-        window = [i for i in table if lo < i < hi]
-        inside = sum(table[i] for i in window)
-        share = (beta - alpha) * total
-        if not window or share == 0:
+        lo, hi = _window_bounds(alpha, beta, m)
+        if lo > hi or total == 0:
             rows.append((m, "", "", "", "", "empty"))
             continue
-        ratio = Fraction(inside) / share
-        ratios.append(ratio)
+        inside = sum(table[i] for i in range(lo, hi + 1))
+        # share = width * total in lowest terms; width is already reduced
+        g = gcd(total, width.denominator)
+        share_num = width.numerator * total // g
+        share_den = width.denominator // g
+        pairs.append((inside * share_den, share_num))
         rows.append(
-            (m, str(inside), str(share.numerator), str(share.denominator),
-             decimal_str(ratio, PLACES), "")
+            (m, str(inside), str(share_num), str(share_den),
+             ratio_str(inside * share_den, share_num, PLACES), "")
         )
-    if len(ratios) >= 2:
-        head = ratios[: max(1, len(ratios) // 2)]
-        head_dev = max(abs(r - 1) for r in head)
-        last_dev = abs(ratios[-1] - 1)
+    if len(pairs) >= 2:
+        head_dev = max(abs(Fraction(*pair) - 1) for pair in pairs[: len(pairs) // 2])
+        last_dev = abs(Fraction(*pairs[-1]) - 1)
         supported = last_dev <= Fraction(1, 5) and last_dev <= head_dev
     else:
         supported = False
@@ -219,7 +242,9 @@ def ratio_monotonicity_report(n: int) -> ConjectureReport:
 
 def _ratio_rows(set_i: IndexSet, set_j: IndexSet, n_max: int):
     """(start, rows, ratios) shared by the ratio-series report and the
-    tail-spread helper; raises when either set is never realizable."""
+    tail-spread helper, ``ratios`` holding only the last six computed
+    ratios (all the tail summary reads); raises when either set is never
+    realizable."""
     nums = counting.dd_counts(set_i, n_max)
     dens = counting.dd_counts(set_j, n_max)
     for name, indices, counts in (("J", set_j, dens), ("I", set_i, nums)):
@@ -230,16 +255,15 @@ def _ratio_rows(set_i: IndexSet, set_j: IndexSet, n_max: int):
             )
     start = max(next(n for n, v in enumerate(c) if v) for c in (nums, dens))
     rows = []
-    ratios: list[Fraction] = []
+    pairs: list[tuple[int, int]] = []
     for n in range(start, n_max + 1):
         num, den = nums[n], dens[n]
         if den == 0:
             rows.append((n, str(num), str(den), "", "skipped: denominator 0"))
             continue
-        ratio = Fraction(num, den)
-        ratios.append(ratio)
-        rows.append((n, str(num), str(den), decimal_str(ratio, PLACES), ""))
-    return start, rows, ratios
+        pairs.append((num, den))
+        rows.append((n, str(num), str(den), ratio_str(num, den, PLACES), ""))
+    return start, rows, [Fraction(num, den) for num, den in pairs[-6:]]
 
 
 def ratio_series_report(set_i: Iterable[int], set_j: Iterable[int],

@@ -16,6 +16,10 @@ every counter here loops over it, in O(n^2) exact big-integer work:
   no-double-descent forward states, one requiring step at m and a
   backward pass of completion counts (the transposed step) - the
   transfer-matrix method (Stanley, Enumerative Combinatorics I, 4.7).
+  The entry vector at m (the state after the requiring step) does not
+  depend on n, so one forward pass per process serves every row: the
+  entry vectors are kept in a module-level list that grows on demand,
+  and the last few rows are cached.
 
 Also here: the convolution recursions for the no-double-descent
 sequences, the singleton-set recursion that rebuilds dd({m}; n+1) from
@@ -133,9 +137,15 @@ def _column(dd_set: Iterable[int], n_max: int, cap: int,
         return [0] * (n_max + 1)
     top = max(indices, default=0)
     counts = [0 if indices else 1]
+    asc = desc = []
     states = _prefix_states(frozenset(indices), n_max, initial_ascent)
     for length, (asc, desc) in enumerate(states, start=1):
-        counts.append(sum(asc) + sum(desc) if length > top else 0)
+        if length > 1:
+            # past max(I) every step forbids, and a forbidding step's
+            # prefix sums end in the total of the previous length
+            counts.append(asc[-1] if length > top + 1 else 0)
+    if n_max > 0:
+        counts.append(sum(asc) + sum(desc) if n_max > top else 0)
     return counts
 
 
@@ -155,33 +165,55 @@ def dd_ascent_counts(dd_set: Iterable[int], n_max: int,
     return _column(dd_set, n_max, cap, True)
 
 
+# Entry vectors of the singleton rows: _ENTRIES[m - 1] is the desc
+# vector after a requiring step at m from the no-double-descent prefix
+# state of length m; _frontier is that state at length len(_ENTRIES) + 1.
+# Only these and the latest state are kept, not every forward state.
+_ENTRIES: list[list[int]] = []
+_frontier = ([1], [0])
+
+
+def _entry_vector(m: int) -> list[int]:
+    global _frontier
+    while len(_ENTRIES) < m:
+        asc, desc = _frontier
+        _ENTRIES.append(_step(asc, desc, True)[1])
+        _frontier = _step(asc, desc, False)
+    return _ENTRIES[m - 1]
+
+
 def dd_singleton_row(n: int, cap: int = DP_CAP) -> dict[int, int]:
     """{m: dd({m}; n)} for m = 2..n-1 in O(n^2) exact work.
 
     dd({m}; n) is the number of ways to reach a no-double-descent
     prefix of length m, take one step that requires a double descent at
-    m, and complete without double descents: a forward state dotted
-    with a backward vector of completion counts.  Forward states are
-    kept only up to length ceil(n/2); the other half of the row follows
-    from the reverse-complement symmetry dd({m}; n) = dd({n+1-m}; n).
+    m, and complete without double descents: an entry vector dotted
+    with a backward vector of completion counts.  Entry vectors are
+    shared by every row of the process and needed only up to m =
+    ceil(n/2); the other half of the row follows from the
+    reverse-complement symmetry dd({m}; n) = dd({n+1-m}; n).  Each call
+    returns a fresh dict.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > cap:
         raise CapExceeded(f"singleton row at n={n} exceeds the cap {cap}")
+    return dict(zip(range(2, n), _singleton_row(n)))
+
+
+@lru_cache(maxsize=4)
+def _singleton_row(n: int) -> tuple[int, ...]:
     half = -(-n // 2)
-    forward = list(_prefix_states(frozenset(), half, False))
     row = {}
     back_asc, back_desc = [1] * n, [1] * n
     for m in range(n - 1, 1, -1):
         # back_* now count the completions of each length-(m+1) state;
         # a requiring step leaves only descending states
         if m <= half:
-            _, desc = _step(*forward[m - 1], True)
-            row[m] = sum(map(mul, desc, back_desc))
+            row[m] = sum(map(mul, _entry_vector(m), back_desc))
         if m > 2:
             back_asc, back_desc = _step_back(back_asc, back_desc)
-    return {m: row[min(m, n + 1 - m)] for m in range(2, n)}
+    return tuple(row[min(m, n + 1 - m)] for m in range(2, n))
 
 
 @lru_cache(maxsize=None)

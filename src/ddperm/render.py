@@ -1,8 +1,9 @@
 """Deterministic text rendering of exact values.
 
-Comparisons elsewhere are exact; these helpers only turn Fractions into
-fixed-point decimal strings (round half to even), so identical inputs
-always produce identical bytes and no float ever enters a report.
+Comparisons elsewhere are exact; these helpers only turn Fractions (or
+integer numerator/denominator pairs) into fixed-point decimal strings
+(round half to even), so identical inputs always produce identical
+bytes and no float ever enters a report.
 """
 
 from __future__ import annotations
@@ -29,9 +30,17 @@ def set_str(indices) -> str:
 def decimal_str(x: Fraction | int, places: int = 6) -> str:
     """Fixed-point decimal rendering with the given number of places."""
     x = Fraction(x)
+    return ratio_str(x.numerator, x.denominator, places)
+
+
+def ratio_str(num: int, den: int, places: int = 6) -> str:
+    """num/den (den > 0) as :func:`decimal_str` renders it, by one
+    integer division: no Fraction, so no gcd of the operands."""
     if places < 0:
         raise ValueError("places must be nonnegative")
-    scaled = round_half_even(x * 10**places)
+    scaled, rem = divmod(num * 10**places, den)
+    if 2 * rem > den or (2 * rem == den and scaled % 2):
+        scaled += 1
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
     if places == 0:

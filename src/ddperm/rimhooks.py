@@ -23,12 +23,16 @@ from typing import Iterable, Iterator
 
 from .errors import CapExceeded
 from .perms import IndexSet, as_index_set
+from .render import set_str
 
 # enumerate/list operations materialize shapes; counting by formula goes
 # much further, so the list cap stays modest
 DEFAULT_LIST_CAP = 20
 # inclusion-exclusion over subsets of the descent set
 DEFAULT_DESCENT_CAP = 24
+# compositions the minimal_search walk may visit; it visits about
+# 120,000 a second on a 2-vCPU VM, and {3} at height 12 takes 511,785
+MINIMAL_WALK_CAP = 600_000
 
 
 class SkewParseError(ValueError):
@@ -268,7 +272,9 @@ def minimal_search(dd_set: Iterable[int], h: int,
     tuple.  Returns None at once for a set no hook of height h can have
     (not :func:`realizable`, or too few rows), else when nothing exists up
     to ``max_len`` (callers cannot distinguish a cap miss from
-    nonexistence; the default cap is generous for the sets that do exist)."""
+    nonexistence; the default cap is generous for the sets that do exist).
+    Raises :class:`CapExceeded` rather than walk more than
+    ``MINIMAL_WALK_CAP`` compositions."""
     indices = as_index_set(dd_set)
     if h < 1:
         raise ValueError("height must be >= 1")
@@ -280,11 +286,26 @@ def minimal_search(dd_set: Iterable[int], h: int,
     needed = {j for i in indices for j in (i - 1, i)}
     if not realizable(indices) or len(needed) > h - 1:
         return None
-    for n in range(h, max_len + 1):
-        for rows in _compositions(n, h):
-            hook = RimHook(rows)
-            if hook.double_descents() == indices:
-                return hook
+    # an interior row of one square puts a double descent at its end, so
+    # the other h - 2 - |I| interior rows have two squares or more: the
+    # walk visits every composition shorter than 2h - 2 - |I| first
+    shortest = min(max(h, 2 * h - 2 - len(indices)), max_len + 1)
+    what = f"rimhook minimal for {set_str(indices)} at height {h}"
+    if comb(shortest - 1, h) > MINIMAL_WALK_CAP:
+        raise CapExceeded(
+            f"{what}: at least {comb(shortest - 1, h)} compositions "
+            f"exceeds the cap {MINIMAL_WALK_CAP}"
+        )
+    walk = (rows for n in range(h, max_len + 1) for rows in _compositions(n, h))
+    for count, rows in enumerate(walk, start=1):
+        if count > MINIMAL_WALK_CAP:
+            raise CapExceeded(
+                f"{what}: the walk passed the cap of {MINIMAL_WALK_CAP} "
+                "compositions"
+            )
+        hook = RimHook(rows)
+        if hook.double_descents() == indices:
+            return hook
     return None
 
 

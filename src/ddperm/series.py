@@ -13,7 +13,14 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Union
 
+from .errors import CapExceeded
+
 Rationalish = Union[int, Fraction]
+
+# Largest order of the two generating functions: the expansion grows
+# about as order^2.7, and egf-check at order 400 takes about 7 s on a
+# 2-vCPU VM.
+SERIES_CAP = 400
 
 
 class QSqrt3:
@@ -297,16 +304,26 @@ def cos_shifted(c, order: int) -> Sqrt3Series:
     return cos_series(c, order).scale(COS_PI_6) - sin_series(c, order).scale(SIN_PI_6)
 
 
+def _check_order(order: int) -> None:
+    if order > SERIES_CAP:
+        raise CapExceeded(
+            f"series to order {order}: {order + 1} coefficients over "
+            f"Q(sqrt 3) exceeds the cap {SERIES_CAP}"
+        )
+
+
 def egf_no_dd_ascent(order: int) -> Sqrt3Series:
     """Exponential generating function of the counts of permutations
     with no double descents and no initial descent:
     1/2 + (sqrt(3)/2) tan((sqrt(3)/2) x + pi/6)."""
+    _check_order(order)
     return tan_shifted(SQRT3_OVER_2, order).scale(SQRT3_OVER_2) + Fraction(1, 2)
 
 
 def egf_no_dd(order: int) -> Sqrt3Series:
     """Exponential generating function of the no-double-descent counts:
     (sqrt(3)/2) e^(x/2) / cos((sqrt(3)/2) x + pi/6)."""
+    _check_order(order)
     numerator = exp_series(HALF, order).scale(SQRT3_OVER_2)
     return numerator / cos_shifted(SQRT3_OVER_2, order)
 

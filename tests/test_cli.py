@@ -65,9 +65,13 @@ def test_singleton_table_cap_exit_code():
 @pytest.mark.parametrize("argv", [
     ("table", "--family", "b", "--to", "3000"),
     ("egf-check", "--which", "ddempty", "--order", "3000"),
+    ("egf-check", "--which", "b", "--order", str(series.SERIES_CAP + 1)),
+    ("conjecture", "run", "--id", "6.1", "--n", "1000"),
+    ("rimhook", "minimal", "--set", "3", "--height", "14"),
 ])
 def test_sequence_cap_refuses_at_once(argv):
-    # these ran for minutes; egf-check must refuse before expanding the series
+    # these ran for minutes (or seconds, just past the series cap); each
+    # must refuse before it starts the work
     result = run_cli(*argv, timeout=20)
     assert result.returncode == 2
     assert result.stdout == ""
@@ -314,7 +318,8 @@ code = None
 if len(sys.argv) > 1:
     with contextlib.redirect_stdout(io.StringIO()):
         code = ddperm.cli.main(sys.argv[1:])
-print(code, "numpy" in sys.modules, "ddperm.checks" in sys.modules)
+print(code, "numpy" in sys.modules, "ddperm.checks" in sys.modules,
+      "json" in sys.modules)
 """
 
 
@@ -334,14 +339,17 @@ print(code, "numpy" in sys.modules, "ddperm.checks" in sys.modules)
     (("circular", "count", "--n", "14", "--method", "brute"), 2, False),
     (("count", "--set", "2", "--n", "6", "--all-methods"), 0, True),
     (("selftest",), 0, True),
+    (("table", "--family", "b", "--to", "10", "--format", "json"), 0, False),
 ])
 def test_numpy_loads_only_for_sweeps(argv, code, loads_numpy):
     loads_checks = argv == ("selftest",)
+    loads_json = "json" in argv
     result = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE, *argv],
         capture_output=True, text=True,
     )
-    assert result.stdout == f"{code} {loads_numpy} {loads_checks}\n", result.stderr
+    expected = f"{code} {loads_numpy} {loads_checks} {loads_json}\n"
+    assert result.stdout == expected, result.stderr
 
 
 _IMPORT_PROBE = """

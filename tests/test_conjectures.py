@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,29 @@ def test_ratio_series_rows_are_the_per_n_dp():
     for n, num, den, _, _ in report.rows:
         assert int(num) == counting.dd_count((3, 7), n)
         assert int(den) == counting.dd_count((5, 9, 10), n)
+
+
+def test_window_bounds_match_the_fraction_test():
+    # every m for the benchmark's three windows, seeded windows and m else
+    cases = [(Fraction(a), Fraction(b), m)
+             for a, b in (("1/4", "3/4"), ("1/3", "2/3"), ("1/5", "4/5"))
+             for m in range(2, 301)]
+    rng = random.Random(11)
+    for _ in range(300):
+        a, b = sorted(rng.sample(range(1, 97), 2))
+        cases.append((Fraction(a, 97), Fraction(b, 97), rng.randint(2, 300)))
+    for alpha, beta, m in cases:
+        inside = [i for i in range(2, m) if alpha * m < i < beta * m]
+        lo, hi = cj._window_bounds(alpha, beta, m)
+        assert list(range(lo, hi + 1)) == inside, (alpha, beta, m)
+
+
+def test_equidistribution_sweep_cap():
+    report = cj.equidistribution_report(70, Fraction(1, 5), Fraction(4, 5))
+    assert len(report.rows) == 67
+    assert cj.EQUIDIST_CAP >= 70
+    with pytest.raises(CapExceeded, match="6.1 sweep to n=1000: 997 singleton rows"):
+        cj.equidistribution_report(1000, Fraction(1, 4), Fraction(3, 4))
 
 
 def test_equidistribution_window_arithmetic():

@@ -152,6 +152,18 @@ def test_singleton_row_matches_per_m_dp():
         }, n
 
 
+def test_singleton_rows_in_mixed_order(monkeypatch):
+    # start from an empty entry-vector list, so the rows below grow it,
+    # reuse it and hit the row cache in turn
+    monkeypatch.setattr(counting, "_ENTRIES", [])
+    monkeypatch.setattr(counting, "_frontier", ([1], [0]))
+    counting._singleton_row.cache_clear()
+    for n in (60, 10, 61, 33, 60):
+        row = counting.dd_singleton_row(n)
+        assert row == {m: counting.dd_count((m,), n) for m in range(2, n)}, n
+        row[2] += 1  # the second row at 60 must not see this
+
+
 def test_singleton_row_matches_census():
     for n in range(0, 10):
         census = bf.dd_census(n)

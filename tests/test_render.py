@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ddperm.render import csv_text, decimal_str, percent_str, round_half_even
+from ddperm.render import csv_text, decimal_str, percent_str, ratio_str, round_half_even
 
 
 def test_round_half_even():
@@ -19,6 +21,28 @@ def test_decimal_str():
     assert decimal_str(Fraction(-1, 8), 2) == "-0.12"  # half-even on -0.125
     assert decimal_str(7, 0) == "7"
     assert decimal_str(Fraction(1, 2), 6) == "0.500000"
+
+
+def _fraction_decimal(x: Fraction, places: int) -> str:
+    # the Fraction multiply-and-compare rendering that ratio_str replaced
+    scaled = round_half_even(x * 10**places)
+    sign = "-" if scaled < 0 else ""
+    digits = str(abs(scaled)).rjust(places + 1, "0")
+    return sign + (digits if places == 0 else f"{digits[:-places]}.{digits[-places:]}")
+
+
+@given(st.integers(-10**40, 10**40), st.integers(1, 10**15), st.integers(0, 12))
+def test_decimal_str_matches_fraction_rounding(num, den, places):
+    x = Fraction(num, den)
+    assert decimal_str(x, places) == _fraction_decimal(x, places)
+    assert ratio_str(num, den, places) == _fraction_decimal(x, places)  # unreduced
+
+
+@given(st.integers(-10**20, 10**20), st.integers(0, 12))
+def test_decimal_str_ties_go_to_even(k, places):
+    # (2k+1) / (2 * 10^places) lies exactly halfway between two renderings
+    x = Fraction(2 * k + 1, 2 * 10**places)
+    assert decimal_str(x, places) == _fraction_decimal(x, places)
 
 
 def test_percent_str():

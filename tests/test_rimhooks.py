@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -244,6 +245,29 @@ def test_minimal_search_early_none_agrees_with_walk():
                 None,
             )
             assert rh.minimal_search(indices, h) == walked, (indices, h)
+
+
+def test_minimal_search_walk_bound():
+    # the refusal counts every composition shorter than 2h - 2 - |I|;
+    # no minimal hook is that short
+    for h in range(1, 8):
+        for indices in all_index_sets(2, 6):
+            hook = rh.minimal_search(indices, h)
+            if hook is not None:
+                assert hook.length >= 2 * h - 2 - len(indices), (indices, h)
+
+
+def test_minimal_search_refuses_past_the_walk_cap(monkeypatch):
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="at least 1961256 compositions"):
+        rh.minimal_search((3,), 14)
+    assert time.perf_counter() - start < 1
+    # {3} at height 6 walks 169 compositions, more than this cap allows,
+    # though the 28 shorter than its bound pass the up-front count
+    monkeypatch.setattr(rh, "MINIMAL_WALK_CAP", 100)
+    with pytest.raises(CapExceeded, match="walk passed the cap of 100"):
+        rh.minimal_search((3,), 6)
+    assert rh.minimal_search((3,), 5).length == 8
 
 
 def test_add_square():
