@@ -6,7 +6,7 @@ double-descent set three independent ways (insertion dynamic
 programming, brute-force enumeration, and summing standard fillings
 over the rim hooks that encode the set), verifies the closed-form
 exponential generating functions of the no-double-descent sequences in
-exact Q(sqrt 3) arithmetic, realizes the Fibonacci counts of rim-hook
+exact integer arithmetic, realizes the Fibonacci counts of rim-hook
 classes, and evaluates the open asymptotic conjectures numerically.
 
 All counts are exact Python integers; no float ever enters a result.

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 from . import bruteforce, circular, conjectures, counting, rimhooks, series
 from .render import decimal_str, percent_str, set_str
@@ -49,7 +49,7 @@ def known_values():
         name = f"dd({set_str(indices)};{n})"
         yield f"dp {name}", counting.dd_count(indices, n), want
         yield f"brute {name}", bruteforce.count_dd_exact(indices, n), want
-    yield "dp b(4)", counting.no_dd_ascent_counts(4)[4], 9
+    yield "dp b(4)", counting.dd_ascent_count((), 4), 9
     yield "brute b(4)", bruteforce.count_no_dd_ascent_exact(4), 9
 
 
@@ -69,10 +69,22 @@ def singleton_recursion():
 
 
 def generating_function_coefficients():
-    for egf, counts in ((series.egf_no_dd_ascent, counting.no_dd_ascent_counts),
-                        (series.egf_no_dd, counting.no_dd_counts)):
-        yield (f"n! [x^n] of {egf.__name__}(30) vs {counts.__name__}(30)",
-               series.integer_coefficients(egf(30)), counts(30))
+    routes = ((series.egf_no_dd_ascent, counting.dd_ascent_counts,
+               counting.no_dd_ascent_counts),
+              (series.egf_no_dd, counting.dd_counts, counting.no_dd_counts))
+    for egf, column, convolution in routes:
+        coefficients = series.integer_coefficients(egf(30))
+        yield (f"n! [x^n] of {egf.__name__}(30) vs {column.__name__}((), 30)",
+               coefficients, column((), 30))
+        yield (f"n! [x^n] of {egf.__name__}(30) vs {convolution.__name__}(30)",
+               coefficients, convolution(30))
+    # egf_no_dd * D = 1 for D(x) = sum_k x^(3k)/(3k)! - x^(3k+1)/(3k+1)!,
+    # whose n! [x^n] are 1, -1, 0 repeating
+    counts = counting.dd_counts((), 60)
+    for n in range(61):
+        product = sum(comb(n, k) * counts[k] * (1, -1, 0)[(n - k) % 3]
+                      for k in range(n + 1))
+        yield f"n! [x^{n}] of egf_no_dd * D from dd_counts", product, int(n == 0)
 
 
 def rimhook_fibonacci_formulas():

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .perms import IndexSet, Perm, check_permutation
-from .counting import no_dd_ascent_counts
+from .counting import dd_ascent_counts
 
 
 def rotate(w: Iterable[int]) -> Perm:
@@ -58,10 +58,11 @@ def count_no_cyclic_dd(n: int) -> int:
 
     Prepending n to a word with no double descents and no initial
     descent gives exactly the canonical representatives with no cyclic
-    double descents, so the count equals the length n-1 entry of
-    :func:`ddperm.counting.no_dd_ascent_counts`.  The n = 2 value uses
-    the length-1 convention (cyclic comparisons degenerate below n = 3).
+    double descents, so the count equals the length n-1 entry of the
+    initial-ascent column :func:`ddperm.counting.dd_ascent_counts` of the
+    empty set.  The n = 2 value uses the length-1 convention (cyclic
+    comparisons degenerate below n = 3).
     """
     if n < 2:
         raise ValueError("circular counts start at n = 2")
-    return no_dd_ascent_counts(n - 1)[n - 1]
+    return dd_ascent_counts((), n - 1)[n - 1]

@@ -130,11 +130,8 @@ def cmd_table(args) -> int:
         if args.to is None:
             raise UsageError(f"--family {args.family} needs --to")
         top = args.to
-        values = (
-            counting.no_dd_ascent_counts(top)
-            if args.family == "b"
-            else counting.no_dd_counts(top)
-        )
+        column = counting.dd_ascent_counts if args.family == "b" else counting.dd_counts
+        values = column((), top)
         if args.format == "csv":
             text = csv_text(("n", "value"), list(enumerate(values)))
         else:
@@ -249,11 +246,11 @@ def cmd_egf_check(args) -> int:
     from . import counting, series
     order = args.order
     if args.which == "b":
-        sequence, egf = counting.no_dd_ascent_counts, series.egf_no_dd_ascent
+        column, egf = counting.dd_ascent_counts, series.egf_no_dd_ascent
     else:
-        sequence, egf = counting.no_dd_counts, series.egf_no_dd
+        column, egf = counting.dd_counts, series.egf_no_dd
     actual = series.integer_coefficients(egf(order))  # refuses past its cap at once
-    expected = sequence(order)
+    expected = column((), order)
     failures = 0
     for n, (got, want) in enumerate(zip(actual, expected)):
         ok = got == want

@@ -309,8 +309,8 @@ def dd_singleton_parts(m: int, n: int,
         )
     if c_provider is None:
         c_provider = dd_ascent_count
-    blocks = no_dd_ascent_counts(n)
-    free = no_dd_counts(n)
+    blocks = dd_ascent_counts((), n)
+    free = dd_counts((), n)
     column = dd_counts((m,), n)
     first = sum(
         comb(n, k) * column[k] * blocks[n - k]
@@ -374,7 +374,7 @@ def dd_singleton_estimate(m: int, n: int,
     if bad:
         raise ValueError(f"ratio-table values must lie in (0, 1]: {bad}")
     first, second, _ = dd_singleton_parts(m, n, c_provider=dd_ascent_count)
-    free = no_dd_counts(n)
+    free = dd_counts((), n)
     third = sum(
         (
             comb(n, k) * free[k] * dd_count((m - 1 - k,), n - k)

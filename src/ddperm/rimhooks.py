@@ -407,38 +407,3 @@ def dd_bounds(dd_set: Iterable[int], n: int,
     counts = [tableau_count(r) for r in hooks]
     return min(counts) * len(hooks), max(counts) * len(hooks)
 
-
-@dataclass(frozen=True)
-class RecurrenceRow:
-    kind: str      # "step" or "initial"
-    n: int
-    lhs: int
-    rhs: int
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def recurrence_report(dd_set: Iterable[int], n_max: int,
-                      cap: int = DEFAULT_LIST_CAP) -> list[RecurrenceRow]:
-    """Check the two-step recurrence #R_I(n) = #R_I(n-1) + #R_I(n-2)
-    for m+3 <= n <= n_max (m = max(I), 0 for empty I) against direct
-    enumeration, and for singletons {m} with m >= 4 the seed identity
-    #R_{m}(m+1) = #R_{m-1}(m) + #R_{m-2}(m-1)."""
-    indices = as_index_set(dd_set)
-    m = max(indices, default=0)
-
-    def size(i: tuple[int, ...], n: int) -> int:
-        return len(enumerate_rimhooks(i, n, cap))
-
-    rows = []
-    for n in range(m + 3, n_max + 1):
-        lhs = size(indices, n)
-        rhs = size(indices, n - 1) + size(indices, n - 2)
-        rows.append(RecurrenceRow("step", n, lhs, rhs))
-    if len(indices) == 1 and m >= 4:
-        lhs = size((m,), m + 1)
-        rhs = size((m - 1,), m) + size((m - 2,), m - 1)
-        rows.append(RecurrenceRow("initial", m + 1, lhs, rhs))
-    return rows

@@ -65,7 +65,7 @@ def test_singleton_table_cap_exit_code():
 @pytest.mark.parametrize("argv", [
     ("table", "--family", "b", "--to", "3000"),
     ("egf-check", "--which", "ddempty", "--order", "3000"),
-    ("egf-check", "--which", "b", "--order", str(series.SERIES_CAP + 1)),
+    ("egf-check", "--which", "b", "--order", str(counting.DP_CAP + 1)),
     ("conjecture", "run", "--id", "6.1", "--n", "1000"),
     ("rimhook", "minimal", "--set", "3", "--height", "14"),
 ])

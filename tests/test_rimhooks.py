@@ -181,17 +181,20 @@ def test_count_empty_matches_binomial_sum_to_40():
 
 
 def test_recurrence_report():
-    rows = rh.recurrence_report((2,), 10)
-    assert all(row.passed for row in rows)
+    def size(indices, n):
+        return len(rh.enumerate_rimhooks(indices, n))
+
+    # #R_I(n) = #R_I(n-1) + #R_I(n-2) for max(I) + 3 <= n
+    for indices, n_max in (((2,), 10), ((), 16)):
+        m = max(indices, default=0)
+        for n in range(m + 3, n_max + 1):
+            assert size(indices, n) == size(indices, n - 1) + size(indices, n - 2), n
     # the singleton {2} class sizes follow the shifted Fibonacci pattern
-    assert [len(rh.enumerate_rimhooks((2,), n)) for n in range(3, 9)] == [
+    assert [size((2,), n) for n in range(3, 9)] == [
         rh.fibonacci(n - 2) for n in range(3, 9)
     ]
-    rows = rh.recurrence_report((), 16)
-    assert all(row.passed for row in rows)
-    rows = rh.recurrence_report((4,), 8)
-    initial = [row for row in rows if row.kind == "initial"]
-    assert len(initial) == 1 and initial[0].lhs == 2 and initial[0].passed
+    # the seed identity #R_{m}(m+1) = #R_{m-1}(m) + #R_{m-2}(m-1) at m = 4
+    assert size((4,), 5) == size((3,), 4) + size((2,), 3) == 2
 
 
 def test_minimal_empty():
