@@ -23,6 +23,10 @@ KNOWN_VALUES = {
     ((5,), 8): 2904, ((6,), 7): 426, ((6,), 8): 2491, ((6,), 9): 22419,
 }
 
+#: the 6.1 windows (alpha, beta) the large-n evidence covers
+EQUIDIST_WINDOWS = [(Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 3), Fraction(2, 3)),
+                    (Fraction(1, 5), Fraction(4, 5))]
+
 #: the rim hooks of length 6 encoding {} and {2}, as sorted skew shapes
 SHAPES_6 = {
     (): ["(3,3,2,1)/(2,1)", "(4,2,1)/(1)", "(4,3,1)/(2)", "(4,3,2)/(2,1)",
@@ -154,6 +158,19 @@ def conjecture_evidence_at_large_n():
     for n in (*range(31, 151), 200, 300):
         yield _holds(conjectures.down_up_report(n))
         yield _holds(conjectures.ratio_monotonicity_report(n))
+    for alpha, beta in EQUIDIST_WINDOWS:
+        yield _holds(conjectures.equidistribution_report(200, alpha, beta))
+    # the 6.1 tail sums against the sums of each singleton row
+    rows = [counting.dd_singleton_row(m) for m in range(121)]
+    for alpha, beta in EQUIDIST_WINDOWS:
+        windows = [[i for i in range(2, m) if alpha * m < i < beta * m]
+                   for m in range(121)]
+        tails = counting.dd_singleton_window_sums(
+            {m: (inside[0], inside[-1]) if inside else (2, 1)
+             for m, inside in enumerate(windows)})
+        for m, (row, inside) in enumerate(zip(rows, windows)):
+            yield (f"6.1 total and window sum at n={m}, window ({alpha}, {beta})",
+                   tails[m], (sum(row.values()), sum(row[i] for i in inside)))
 
 
 def _first_mismatch(cases) -> str | None:

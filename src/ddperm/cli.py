@@ -274,15 +274,18 @@ def cmd_estimate(args) -> int:
 
 def cmd_conjecture(args) -> int:
     from . import conjectures
-    n = args.n
+
+    def size(default: int) -> int:
+        return default if args.n is None else args.n
+
     if args.id == "6.1":
         report = conjectures.equidistribution_report(
-            n or 30, Fraction(args.alpha), Fraction(args.beta)
+            size(30), Fraction(args.alpha), Fraction(args.beta)
         )
     elif args.id == "6.2":
-        report = conjectures.down_up_report(n or 30)
+        report = conjectures.down_up_report(size(30))
     elif args.id == "6.3":
-        report = conjectures.ratio_monotonicity_report(n or 30)
+        report = conjectures.ratio_monotonicity_report(size(30))
     elif args.id in ("6.4", "6.5"):
         set_i = parse_set_option(args.set_i if args.set_i is not None
                                  else ("2" if args.id == "6.4" else ""))
@@ -291,11 +294,11 @@ def cmd_conjecture(args) -> int:
         if args.id == "6.4" and (len(set_i) != 1 or len(set_j) != 1):
             raise UsageError("conjecture 6.4 takes singleton sets; use 6.5")
         report = conjectures.ratio_series_report(
-            set_i, set_j, n or conjectures.DEFAULT_SWEEP_MAX,
+            set_i, set_j, size(conjectures.DEFAULT_SWEEP_MAX),
             conjecture_id=args.id,
         )
     elif args.id == "3.2":
-        report = conjectures.ratio_table_report(n or 12)
+        report = conjectures.ratio_table_report(size(12))
     else:
         raise UsageError(f"unknown conjecture id {args.id!r}")
     if args.out is not None:

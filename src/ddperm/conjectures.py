@@ -4,11 +4,14 @@ Everything here is a finite-n harness: it can refute a statement with a
 concrete witness or support it over the computed range, never prove it.
 The three-valued verdict is part of the report type so downstream
 tooling cannot upgrade evidence into proof.  All comparisons are exact
-(integer cross-multiplication, Fractions); decimals in the rows are
-renderings only, each by one integer division of the row's own
+(integer cross-multiplication, Fractions).  Count cells hold exact
+ints, turned into text only where a report is written; decimals in the
+rows are renderings only, each by one integer division of the row's own
 numerator and denominator.  Fractions are built only where a verdict or
-a tail summary compares values across rows.  The 6.1 sweep builds one
-singleton row per length, so it is capped at ``EQUIDIST_CAP``.
+a tail summary compares values across rows.  The 6.1 sweep reads window
+sums from prefix-tail sums of one forward pass
+(:func:`ddperm.counting.dd_singleton_window_sums`), no singleton rows,
+and is capped at ``EQUIDIST_CAP``.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ PLACES = 10
 
 DEFAULT_SWEEP_MAX = 30
 
-# Largest n of a 6.1 sweep: it builds one O(m^2) singleton row for every
-# m <= n, O(n^4) bit work in all; n = 400 takes about 8 s on a 2-vCPU VM.
+# Largest n of a 6.1 sweep: its tail sums take O(n^2 + w n^3) additions
+# of O(n log n)-bit integers, w the window's cut fraction (at most 1/2);
+# n = 400 takes 0.9-1.5 s on a 2-vCPU VM (one singleton row per length
+# took 6-10 s).
 EQUIDIST_CAP = 400
 
 
@@ -121,10 +126,13 @@ def equidistribution_report(n: int, alpha: Fraction, beta: Fraction,
     with alpha*n < i < beta*n should carry a (beta - alpha) share of
     the total as n grows.
 
-    Sweeps n_min..n; rows with no integer i in the open window are
-    marked empty.  The verdict is supportive when the final ratio sits
-    within [0.8, 1.2] and is no farther from 1 than the first half of
-    the sweep got (a harness choice; the statement itself is asymptotic).
+    Sweeps n_min..n (n < n_min raises ``ValueError``), reading every
+    length's total and window sum from one
+    :func:`ddperm.counting.dd_singleton_window_sums` pass; rows with no
+    integer i in the open window are marked empty.  The verdict is
+    supportive when the final ratio sits within [0.8, 1.2] and is no
+    farther from 1 than the first half of the sweep got (a harness
+    choice; the statement itself is asymptotic).
     """
     alpha = Fraction(alpha)
     beta = Fraction(beta)
@@ -132,27 +140,28 @@ def equidistribution_report(n: int, alpha: Fraction, beta: Fraction,
         raise ValueError("need 0 < alpha < beta < 1")
     if n > EQUIDIST_CAP:
         raise CapExceeded(
-            f"6.1 sweep to n={n}: {n - n_min + 1} singleton rows exceeds "
+            f"6.1 sweep to n={n}: {n - n_min + 1} lengths exceed "
             f"the cap n={EQUIDIST_CAP}"
         )
+    if n < n_min:
+        raise ValueError(f"the 6.1 sweep needs n >= n_min = {n_min}, got n={n}")
     width = beta - alpha
+    bounds = {m: _window_bounds(alpha, beta, m) for m in range(n_min, n + 1)}
+    sums = counting.dd_singleton_window_sums(bounds)
     rows = []
     pairs: list[tuple[int, int]] = []  # inside/share as (num, den)
-    for m in range(n_min, n + 1):
-        table = singleton_table(m)
-        total = sum(table.values())
-        lo, hi = _window_bounds(alpha, beta, m)
+    for m, (lo, hi) in bounds.items():
+        total, inside = sums[m]
         if lo > hi or total == 0:
             rows.append((m, "", "", "", "", "empty"))
             continue
-        inside = sum(table[i] for i in range(lo, hi + 1))
         # share = width * total in lowest terms; width is already reduced
         g = gcd(total, width.denominator)
         share_num = width.numerator * total // g
         share_den = width.denominator // g
         pairs.append((inside * share_den, share_num))
         rows.append(
-            (m, str(inside), str(share_num), str(share_den),
+            (m, inside, share_num, share_den,
              ratio_str(inside * share_den, share_num, PLACES), "")
         )
     if len(pairs) >= 2:
@@ -190,7 +199,7 @@ def down_up_report(n: int) -> ConjectureReport:
         left, right = table[i], table[i + 1]
         expected = ">" if i % 2 == 0 else "<"
         ok = left > right if expected == ">" else left < right
-        rows.append((n, i, str(left), str(right), expected, "pass" if ok else "FAIL"))
+        rows.append((n, i, left, right, expected, "pass" if ok else "FAIL"))
         if not ok and witness is None:
             witness = {"n": n, "i": i, "left": left, "right": right,
                        "expected": expected}
@@ -224,7 +233,7 @@ def ratio_monotonicity_report(n: int) -> ConjectureReport:
         rhs = c * b
         expected = ">" if i % 2 == 0 else "<"
         ok = lhs > rhs if expected == ">" else lhs < rhs
-        rows.append((n, i, str(lhs), str(rhs), expected, "pass" if ok else "FAIL"))
+        rows.append((n, i, lhs, rhs, expected, "pass" if ok else "FAIL"))
         if not ok and witness is None:
             witness = {"n": n, "i": i, "left": lhs, "right": rhs,
                        "expected": expected}
@@ -259,10 +268,10 @@ def _ratio_rows(set_i: IndexSet, set_j: IndexSet, n_max: int):
     for n in range(start, n_max + 1):
         num, den = nums[n], dens[n]
         if den == 0:
-            rows.append((n, str(num), str(den), "", "skipped: denominator 0"))
+            rows.append((n, num, den, "", "skipped: denominator 0"))
             continue
         pairs.append((num, den))
-        rows.append((n, str(num), str(den), ratio_str(num, den, PLACES), ""))
+        rows.append((n, num, den, ratio_str(num, den, PLACES), ""))
     return start, rows, [Fraction(num, den) for num, den in pairs[-6:]]
 
 

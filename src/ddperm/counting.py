@@ -19,7 +19,12 @@ every counter here loops over it, in O(n^2) exact big-integer work:
   The entry vector at m (the state after the requiring step) does not
   depend on n, so one forward pass per process serves every row: the
   entry vectors are kept in a module-level list that grows on demand,
-  and the last few rows are cached.
+  and the last few rows are cached;
+* :func:`dd_singleton_window_sums`: the sum of dd({i}; m) over a window
+  of positions, at many lengths m, from prefix-tail sums of one forward
+  pass over the prefixes with exactly one double descent.
+
+The empty-set columns grow on demand too, once per process.
 
 Also here: the convolution recursions for the no-double-descent
 sequences, the singleton-set recursion that rebuilds dd({m}; n+1) from
@@ -126,6 +131,24 @@ def dd_ascent_count(dd_set: Iterable[int], n: int, cap: int = DP_CAP) -> int:
     return _insertion_count(n, frozenset(indices), True)
 
 
+# The empty-set columns, one per initial-ascent flag, grow on demand and
+# are shared by every call of the process: the counts of lengths
+# 0..L-1 and the prefix state of length L.
+_EMPTY_COLUMNS = {flag: ([1], ([1], [0])) for flag in (False, True)}
+
+
+def _empty_column(n_max: int, initial_ascent: bool) -> list[int]:
+    counts, (asc, desc) = _EMPTY_COLUMNS[initial_ascent]
+    while len(counts) <= n_max:
+        asc, desc = _step(asc, desc, False)
+        if initial_ascent and len(counts) == 1:
+            desc = [0, 0]
+        # the new prefix sums end in the total of the previous length
+        counts.append(asc[-1])
+    _EMPTY_COLUMNS[initial_ascent] = counts, (asc, desc)
+    return counts[: n_max + 1]
+
+
 def _column(dd_set: Iterable[int], n_max: int, cap: int,
             initial_ascent: bool) -> list[int]:
     indices = as_index_set(dd_set)
@@ -133,10 +156,12 @@ def _column(dd_set: Iterable[int], n_max: int, cap: int,
         raise ValueError("n_max must be nonnegative")
     if n_max > cap:
         raise CapExceeded(f"dd column to n={n_max} exceeds the cap {cap}")
-    if indices and indices[0] < 2:
+    if not indices:
+        return _empty_column(n_max, initial_ascent)
+    if indices[0] < 2:
         return [0] * (n_max + 1)
-    top = max(indices, default=0)
-    counts = [0 if indices else 1]
+    top = max(indices)
+    counts = [0]
     asc = desc = []
     states = _prefix_states(frozenset(indices), n_max, initial_ascent)
     for length, (asc, desc) in enumerate(states, start=1):
@@ -214,6 +239,63 @@ def _singleton_row(n: int) -> tuple[int, ...]:
         if m > 2:
             back_asc, back_desc = _step_back(back_asc, back_desc)
     return tuple(row[min(m, n + 1 - m)] for m in range(2, n))
+
+
+def dd_singleton_window_sums(windows: dict[int, tuple[int, int]],
+                             cap: int = DP_CAP) -> dict[int, tuple[int, int]]:
+    """{m: (total, inside)} for each length m with its window (lo, hi):
+    total = sum of dd({i}; m) over i = 2..m-1, inside the same sum over
+    lo <= i <= hi (0 for an empty window).  Agrees with the sums of
+    :func:`dd_singleton_row`, with no row built.
+
+    One forward pass carries the no-double-descent states U_L and the
+    states V_L of length-L prefixes with exactly one double descent:
+    V_(L+1) is a forbidding step from V_L plus the requiring step from
+    U_L, and sum(V_m) is the total.  T(m, c) = sum of dd({i}; m) over
+    i <= c is the total at length m of forbidding steps from V_(c+1),
+    and by dd({i}; m) = dd({m+1-i}; m), inside = total - T(m, m-hi) -
+    T(m, lo-1).  Each cut c is stepped once, up to the longest length
+    that reads it: O(n^2 + w n^3) additions for cuts near w m, and no
+    multiplication.
+    """
+    if any(m < 0 for m in windows):
+        raise ValueError("lengths must be nonnegative")
+    n = max(windows, default=0)
+    if n > cap:
+        raise CapExceeded(f"singleton window sums at n={n} exceed the cap {cap}")
+    cuts = {}  # the cuts m - hi and lo - 1 of each nonempty window
+    for m, (lo, hi) in windows.items():
+        lo, hi = max(lo, 2), min(hi, m - 1)
+        if lo <= hi:
+            cuts[m] = (m - hi, lo - 1)
+    reach: dict[int, int] = {}  # T(m, c) = 0 for c < 2
+    for m, pair in cuts.items():
+        for c in pair:
+            if c >= 2:
+                reach[c] = max(reach.get(c, 0), m)
+    # tails[m] holds T(m, c) for m's cuts until length m is summed
+    tails: dict[int, dict[int, int]] = {m: {} for m in cuts}
+    sums = dict.fromkeys(windows, (0, 0))
+    no_dd, one_dd = ([1], [0]), ([0], [0])
+    for length in range(1, n + 1):
+        cut = length - 1
+        if cut in reach:  # one_dd is V_(cut+1)
+            asc, desc = one_dd
+            for m in range(length, reach[cut] + 1):
+                asc, desc = _step(asc, desc, False)
+                if cut in cuts.get(m, ()):
+                    tails[m][cut] = asc[-1]
+        asc, desc = _step(*one_dd, False)
+        if length in windows:
+            total = asc[-1]  # the sum of V_length
+            if length in cuts:
+                outside = tails.pop(length)
+                sums[length] = total, total - sum(outside.get(c, 0) for c in cuts[length])
+            else:
+                sums[length] = total, 0
+        one_dd = asc, list(map(add, desc, _step(*no_dd, True)[1]))
+        no_dd = _step(*no_dd, False)
+    return sums
 
 
 @lru_cache(maxsize=None)

@@ -256,6 +256,17 @@ def test_conjecture_64_requires_singletons():
     assert result.returncode == 64
 
 
+@pytest.mark.parametrize("report_id", ["6.1", "6.2", "6.3", "6.4", "6.5", "3.2"])
+def test_conjecture_rejects_nonpositive_n(report_id):
+    # --n 0 used to fall back to the default size and exit 0
+    for n in ("0", "-4"):
+        result = run_cli("conjecture", "run", "--id", report_id, "--n", n)
+        assert result.returncode == 64, (n, result.stderr)
+        assert result.stdout == ""
+        assert result.stderr.startswith("ddperm: error: ")
+        assert len(result.stderr.splitlines()) == 1
+
+
 def test_selftest_passes():
     result = run_cli("selftest")
     assert result.returncode == 0

@@ -8,6 +8,7 @@ from ddperm import bruteforce as bf
 from ddperm import conjectures as cj
 from ddperm import counting
 from ddperm.errors import CapExceeded
+from ddperm.render import decimal_str
 
 
 def test_singleton_table_consistency():
@@ -58,18 +59,59 @@ def test_equidistribution_sweep_cap():
     report = cj.equidistribution_report(70, Fraction(1, 5), Fraction(4, 5))
     assert len(report.rows) == 67
     assert cj.EQUIDIST_CAP >= 70
-    with pytest.raises(CapExceeded, match="6.1 sweep to n=1000: 997 singleton rows"):
+    with pytest.raises(CapExceeded, match="6.1 sweep to n=1000: 997 lengths exceed"):
         cj.equidistribution_report(1000, Fraction(1, 4), Fraction(3, 4))
+    with pytest.raises(ValueError, match="n >= n_min = 4, got n=3"):
+        cj.equidistribution_report(3, Fraction(1, 4), Fraction(3, 4))
 
 
 def test_equidistribution_window_arithmetic():
     report = cj.equidistribution_report(6, Fraction(2, 5), Fraction(3, 5))
     last = report.rows[-1]
     # the open window (2.4, 3.6) contains i = 3 only
-    assert last[1] == str(counting.dd_count((3,), 6))
+    assert last[1] == counting.dd_count((3,), 6)
     share = Fraction(int(last[2]), int(last[3]))
     total = sum(cj.singleton_table(6).values())
     assert share == Fraction(1, 5) * total
+
+
+WINDOWS = [(Fraction(a), Fraction(b)) for a, b in (
+    ("1/4", "3/4"), ("1/3", "2/3"), ("1/5", "4/5"), ("3/10", "7/20"),
+    ("1/7", "1/2"), ("1/100", "99/100"), ("2/5", "3/5"))]
+
+
+def _row_route_report(n, alpha, beta, n_min, tables):
+    """Rows and verdict of a 6.1 report summed from whole singleton rows
+    (``tables[m]``): the oracle for the tail sums."""
+    width = beta - alpha
+    rows, pairs = [], []
+    for m in range(n_min, n + 1):
+        table = tables[m]
+        total = sum(table.values())
+        inside = [v for i, v in table.items() if alpha * m < i < beta * m]
+        if not inside or total == 0:
+            rows.append((m, "", "", "", "", "empty"))
+            continue
+        share = width * total
+        pairs.append(Fraction(sum(inside)) / share)
+        rows.append((m, sum(inside), share.numerator, share.denominator,
+                     decimal_str(pairs[-1], cj.PLACES), ""))
+    head = pairs[: len(pairs) // 2]
+    supported = (len(pairs) >= 2 and abs(pairs[-1] - 1) <= Fraction(1, 5)
+                 and abs(pairs[-1] - 1) <= max(abs(r - 1) for r in head))
+    return tuple(rows), supported
+
+
+def test_equidistribution_tail_route_matches_row_oracle():
+    tables = {m: cj.singleton_table(m) for m in range(81)}
+    for n_min in (1, 2, 4, 10):
+        for alpha, beta in WINDOWS:
+            # every row up to length 80; the verdict at a few sweep ends
+            for n in (n_min, n_min + 1, 2 * n_min + 7, 23, 80):
+                report = cj.equidistribution_report(n, alpha, beta, n_min)
+                rows, supported = _row_route_report(n, alpha, beta, n_min, tables)
+                assert report.rows == rows, (n_min, alpha, beta, n)
+                assert (report.verdict is cj.Verdict.HOLDS_IN_RANGE) == supported
 
 
 def test_equidistribution_band_at_20():
@@ -161,6 +203,30 @@ def test_ratio_table_report():
     report = cj.ratio_table_report()
     assert report.verdict is cj.Verdict.HOLDS_IN_RANGE
     assert [row[0] for row in report.rows] == list(range(3, 10))
+
+
+COUNT_COLUMNS = {"window_sum", "share_num", "share_den", "dd_i", "dd_i_plus_1",
+                 "cross_left", "cross_right", "dd_I", "dd_J"}
+
+
+def test_report_cells_hold_exact_ints():
+    reports = [
+        cj.equidistribution_report(12, Fraction(40, 100), Fraction(42, 100)),
+        cj.equidistribution_report(12, Fraction(1, 4), Fraction(3, 4)),
+        cj.down_up_report(10), cj.ratio_monotonicity_report(12),
+        cj.ratio_series_report((2,), (4,), 14), cj.ratio_series_report((), (2, 5), 14),
+        cj.ratio_table_report(),
+    ]
+    kinds = set()
+    for report in reports:
+        for row in report.rows:
+            for column, cell in zip(report.columns, row):
+                if column in ("n", "i", "m") or column in COUNT_COLUMNS and cell != "":
+                    assert type(cell) is int, (report.conjecture_id, column, cell)
+                else:  # ratios, verdict words and empty cells
+                    assert type(cell) is str, (report.conjecture_id, column, cell)
+                kinds.add((column in COUNT_COLUMNS, type(cell)))
+    assert kinds == {(True, int), (True, str), (False, int), (False, str)}
 
 
 def test_report_serialization_roundtrip(tmp_path):

@@ -190,9 +190,34 @@ def test_forward_columns_match_per_n_dp(indices):
     ]
 
 
-def test_empty_set_columns_match_convolutions():
-    assert counting.dd_counts((), 150) == counting.no_dd_counts(150)
-    assert counting.dd_ascent_counts((), 150) == counting.no_dd_ascent_counts(150)
+def test_empty_set_columns_match_convolutions(monkeypatch):
+    # start from fresh columns, so the calls below grow them, serve a
+    # prefix and grow them again
+    monkeypatch.setattr(counting, "_EMPTY_COLUMNS",
+                        {flag: ([1], ([1], [0])) for flag in (False, True)})
+    for n in (60, 10, 150, 61):
+        plain, ascent = counting.dd_counts((), n), counting.dd_ascent_counts((), n)
+        assert plain == counting.no_dd_counts(n), n
+        assert ascent == counting.no_dd_ascent_counts(n), n
+        plain[-1] += 1  # the later calls must not see these
+        ascent[0] = 0
+
+
+def test_singleton_window_sums_match_rows():
+    # clamped, empty, one-position and full windows among them
+    windows = {m: (m // 3, m - 2 * m // 5) for m in range(41)}
+    windows.update({41: (0, 99), 42: (30, 10), 43: (25, 25), 44: (2, 43)})
+    sums = counting.dd_singleton_window_sums(windows)
+    assert list(sums) == list(windows)
+    for m, (lo, hi) in windows.items():
+        row = counting.dd_singleton_row(m)
+        inside = sum(v for i, v in row.items() if lo <= i <= hi)
+        assert sums[m] == (sum(row.values()), inside), m
+    assert counting.dd_singleton_window_sums({}) == {}
+    with pytest.raises(ValueError):
+        counting.dd_singleton_window_sums({-1: (2, 3)})
+    with pytest.raises(CapExceeded):
+        counting.dd_singleton_window_sums({counting.DP_CAP + 1: (2, 3)})
 
 
 def test_columns_and_row_caps():
