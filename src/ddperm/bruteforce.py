@@ -5,36 +5,43 @@ descent-set masks) and applying the definitions directly; nothing is
 shared with the dynamic-programming counters in :mod:`ddperm.counting`,
 so the two routes check each other.
 
-The permutation sweep is vectorized with numpy and partitioned by first
-element to bound memory; the returned counts are independent of the
-partitioning.  Values are int8 (fine for n <= 12), counts are Python
-ints.  numpy is imported on the first sweep, not at import, so code that
-never enumerates (the CLI's DP, series and rim-hook commands, cap
-refusals) does not pay for loading it.
+The sweep is bit-sliced: bit r of an integer stands for the r-th
+permutation, in lexicographic order, of a block of S_n with a fixed
+prefix p_1..p_k (k = max(1, n - 8)), and D[i] marks a descent at i.
+Positions k+1..n run through S_(n-k) in order after relabelling, which
+keeps comparisons, so D[k+1..] repeat the descent bitsets of S_(n-k);
+w_k > w_(k+1) holds on the first b*(n-k-1)! bits, where b values below
+p_k are left for w_(k+1); D[1..k-1] are constant.  A double descent at
+i is D[i-1] & D[i].  A census cuts each block with ``&`` and ``^`` and
+counts each part with ``int.bit_count()``, so every one of the n! bits
+is counted once; only descent bitsets, never counts, are carried over
+from smaller n.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator
+from itertools import permutations
+from math import factorial
+from typing import Iterable, Iterator
 
 from .errors import CapExceeded
 from .perms import IndexSet, as_index_set
 
-if TYPE_CHECKING:
-    import numpy as np
-
-# Default n! enumeration cap; the census of 11! = 39_916_800 rows takes a
-# few seconds (1.6 to 5.8 s measured on a shared 2-vCPU VM).
+# Default n! enumeration cap; at 11! permutations the double-descent census
+# takes 0.3 to 0.5 s and the descent census about 1 s (2-vCPU VM, Python 3.11).
 DEFAULT_CAP = 11
-# Hard ceiling for the override: 12! is a one-off-check scale, 13! is not.
+# Hard ceiling for the override: 12! is a one-off-check scale (about 5 s
+# for the double-descent census, 11 s for the descent census), 13! is not.
 HARD_CAP = 12
 # Rim-hook counting iterates 2^(n-1) descent masks in pure Python.
 DEFAULT_MASK_CAP = 24
 
-# Blocks of at most 10! rows (~36 MB of int8 at n = 10) keep peak memory low.
-_BLOCK_MAX = 10
+# Blocks leave the last 8 entries free: 8! bits (5 KB) per integer.  Wider
+# blocks make fewer but costlier operations; at n = 11 and 12 this width
+# was the fastest of 7!, 8! and 9!.
+_FREE = 8
 
 
 def _check_cap(n: int, cap: int, what: str, hint: str) -> None:
@@ -44,101 +51,68 @@ def _check_cap(n: int, cap: int, what: str, hint: str) -> None:
         raise CapExceeded(f"{what} at n={n} exceeds the cap {cap}; {hint}")
 
 
-@lru_cache(maxsize=None)
-def _perm_indices(k: int) -> np.ndarray:
-    """All permutations of 0..k-1 as an int8 array, lexicographic rows.
-
-    Built by prefixing each choice of first index to the permutations of
-    the remaining indices, which is one fancy-indexing pass per choice.
-    """
-    import numpy as np
-    if k == 0:
-        return np.empty((1, 0), dtype=np.int8)
-    sub = _perm_indices(k - 1)
-    blocks = []
-    for j in range(k):
-        rest = np.delete(np.arange(k, dtype=np.int8), j)
-        first = np.full((sub.shape[0], 1), j, dtype=np.int8)
-        blocks.append(np.hstack([first, rest[sub]]))
-    return np.vstack(blocks)
-
-
-def _perm_array(values: tuple[int, ...]) -> np.ndarray:
-    """All permutations of ``values`` as an int8 array, lexicographic rows."""
-    import numpy as np
-    return np.asarray(values, dtype=np.int8)[_perm_indices(len(values))]
-
-
-def _perm_blocks(values: tuple[int, ...]) -> Iterator[np.ndarray]:
-    """Yield all permutations of ``values`` in memory-bounded blocks."""
-    import numpy as np
-    if len(values) <= _BLOCK_MAX:
-        yield _perm_array(values)
+def _blocks(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(rows, (D[1], ..., D[n-1])) for each block of S_n (n >= 1), in
+    lexicographic order of the prefixes; ``rows`` sets one bit for each
+    permutation of the block."""
+    if n == 1:
+        yield 1, ()
         return
-    for i, v in enumerate(values):
-        rest = values[:i] + values[i + 1 :]
-        for sub in _perm_blocks(rest):
-            first = np.full((sub.shape[0], 1), v, dtype=np.int8)
-            yield np.hstack([first, sub])
+    k = max(1, n - _FREE)
+    tail = _descent_bits(n - k)
+    run = factorial(n - k - 1)  # permutations per value of w_(k+1)
+    rows = (1 << run * (n - k)) - 1
+    for prefix in permutations(range(n), k):
+        last = prefix[-1]
+        below = last - sum(v < last for v in prefix)  # left for w_(k+1)
+        fixed = tuple(rows if a > b else 0 for a, b in zip(prefix, prefix[1:]))
+        yield rows, (*fixed, (1 << below * run) - 1, *tail)
+
+
+@lru_cache(maxsize=None)
+def _descent_bits(m: int) -> tuple[int, ...]:
+    """D[1..m-1] over all of S_m: the blocks' bitsets laid end to end."""
+    blocks = list(_blocks(m))
+    width = blocks[0][0].bit_length()
+    return tuple(sum(d << j * width for j, d in enumerate(column))
+                 for column in zip(*(d for _, d in blocks)))
 
 
 def _mask_of(indices: Iterable[int]) -> int:
+    """The census key of a set of positions: bit i-1 for position i."""
     mask = 0
     for i in indices:
-        mask |= 1 << i
+        mask |= 1 << i - 1
     return mask
 
 
-def _dd_masks(block: np.ndarray) -> np.ndarray:
-    """Bitmask of double-descent positions per row (bit i = position i)."""
-    import numpy as np
-    rows, n = block.shape
-    masks = np.zeros(rows, dtype=np.int32)
-    if n >= 3:
-        desc = block[:, :-1] > block[:, 1:]
-        dd = desc[:, :-1] & desc[:, 1:]
-        for j in range(dd.shape[1]):
-            # column j marks a double descent at position j + 2
-            masks |= dd[:, j].astype(np.int32) << (j + 2)
-    return masks
+def _split(rows: int, cuts: tuple[int, ...], leaf, i: int = 0, mask: int = 0) -> None:
+    """Call ``leaf(part, mask)`` for every nonempty part of ``rows`` cut
+    by the bitsets ``cuts``; bit i of ``mask`` says part lies in cuts[i]."""
+    if i == len(cuts):
+        leaf(rows, mask)
+        return
+    hit = rows & cuts[i]
+    if hit:
+        _split(hit, cuts, leaf, i + 1, mask | 1 << i)
+    if hit != rows:
+        _split(rows ^ hit, cuts, leaf, i + 1, mask)
 
 
-@lru_cache(maxsize=8)
-def _dd_census(n: int) -> tuple[dict[int, int], dict[int, int]]:
-    """(all permutations, initial-ascent permutations) keyed by DD mask."""
-    import numpy as np
-    if n <= 1:
-        return {0: 1}, {}
-    total: Counter[int] = Counter()
-    ascent: Counter[int] = Counter()
-    for block in _perm_blocks(tuple(range(1, n + 1))):
-        masks = _dd_masks(block)
-        counts = np.bincount(masks)
-        for mask in np.nonzero(counts)[0]:
-            total[int(mask)] += int(counts[mask])
-        asc = block[:, 0] < block[:, 1]
-        counts = np.bincount(masks[asc])
-        for mask in np.nonzero(counts)[0]:
-            ascent[int(mask)] += int(counts[mask])
-    return dict(total), dict(ascent)
-
-
-@lru_cache(maxsize=8)
-def _descent_census(n: int) -> dict[int, int]:
-    """All permutations keyed by descent-set mask (bit i = position i)."""
-    import numpy as np
-    if n <= 1:
-        return {0: 1}
+@lru_cache(maxsize=16)
+def _census(n: int, double: bool) -> Counter[int]:
+    """All of S_n keyed by :func:`_mask_of` of the descent set or, with
+    ``double``, of the double-descent set plus bit 0 for a descent at 1."""
     table: Counter[int] = Counter()
-    for block in _perm_blocks(tuple(range(1, n + 1))):
-        desc = block[:, :-1] > block[:, 1:]
-        masks = np.zeros(block.shape[0], dtype=np.int32)
-        for j in range(desc.shape[1]):
-            masks |= desc[:, j].astype(np.int32) << (j + 1)
-        counts = np.bincount(masks)
-        for mask in np.nonzero(counts)[0]:
-            table[int(mask)] += int(counts[mask])
-    return dict(table)
+    if n <= 1:
+        table[0] = 1
+        return table
+
+    def leaf(rows: int, mask: int) -> None:
+        table[mask] += rows.bit_count()
+    for rows, d in _blocks(n):
+        _split(rows, (d[0], *(a & b for a, b in zip(d, d[1:]))) if double else d, leaf)
+    return table
 
 
 def count_dd_exact(dd_set: Iterable[int], n: int, cap: int = DEFAULT_CAP) -> int:
@@ -151,7 +125,8 @@ def count_dd_exact(dd_set: Iterable[int], n: int, cap: int = DEFAULT_CAP) -> int
                "use ddperm.counting.dd_count")
     if any(i < 2 or i > n - 1 for i in indices):
         return 0
-    return _dd_census(n)[0].get(_mask_of(indices), 0)
+    table, key = _census(n, True), _mask_of(indices)
+    return table[key] + table[key | 1]
 
 
 def count_descents_exact(des_set: Iterable[int], n: int,
@@ -162,7 +137,7 @@ def count_descents_exact(des_set: Iterable[int], n: int,
                "use ddperm.rimhooks.tableau_count for the matching shape")
     if any(i < 1 or i > n - 1 for i in indices):
         return 0
-    return _descent_census(n).get(_mask_of(indices), 0)
+    return _census(n, False)[_mask_of(indices)]
 
 
 def count_dd_ascent_exact(dd_set: Iterable[int], n: int,
@@ -175,7 +150,7 @@ def count_dd_ascent_exact(dd_set: Iterable[int], n: int,
                "use ddperm.counting.dd_ascent_count")
     if any(i < 2 or i > n - 1 for i in indices):
         return 0
-    return _dd_census(n)[1].get(_mask_of(indices), 0)
+    return _census(n, True)[_mask_of(indices)]
 
 
 def count_no_dd_ascent_exact(n: int, cap: int = DEFAULT_CAP) -> int:
@@ -189,18 +164,15 @@ def count_no_dd_ascent_exact(n: int, cap: int = DEFAULT_CAP) -> int:
         return 1
     _check_cap(n, cap, "brute-force count",
                "use ddperm.counting.no_dd_ascent_counts")
-    return _dd_census(n)[1].get(0, 0)
+    return _census(n, True)[0]
 
 
 def dd_census(n: int, cap: int = DEFAULT_CAP) -> dict[IndexSet, int]:
     """Full table {double-descent set: count} over S_n, by enumeration."""
     _check_cap(n, cap, "brute-force census", "reduce n")
-    table = _dd_census(n)[0]
-    out: dict[IndexSet, int] = {}
-    for mask, cnt in sorted(table.items()):
-        indices = tuple(i for i in range(2, n) if mask >> i & 1)
-        out[indices] = cnt
-    return out
+    table = _census(n, True)
+    return {tuple(i for i in range(2, n) if key >> i - 1 & 1):
+            table[key] + table[key | 1] for key in sorted({k & ~1 for k in table})}
 
 
 def count_rimhooks_exact(dd_set: Iterable[int], n: int,
@@ -224,9 +196,8 @@ def count_rimhooks_exact(dd_set: Iterable[int], n: int,
         return 0
     target = _mask_of(indices)
     count = 0
-    for s in range(1 << (n - 1)):
-        mask = s << 1  # bit i = descent at position i
-        if mask & (mask << 1) == target:
+    for s in range(1 << (n - 1)):  # bit i-1 = descent at position i
+        if s & (s << 1) == target:
             count += 1
     return count
 
@@ -234,22 +205,20 @@ def count_rimhooks_exact(dd_set: Iterable[int], n: int,
 def count_circular_no_dd_exact(n: int, cap: int = DEFAULT_CAP) -> int:
     """Number of rotation classes of S_n with no cyclic double descents.
 
-    Enumerates the canonical representatives w_1 = n and tests all n
-    positions cyclically (position 1 compares w_n > w_1 > w_2; position n
-    compares w_{n-1} > w_n > w_1).
+    Scans the canonical representatives w_1 = n, whose tails w_2..w_n
+    run through S_(n-1), and tests all n positions cyclically (position
+    1 compares w_n > w_1 > w_2; position n compares w_{n-1} > w_n > w_1).
     """
     if n < 2:
         raise ValueError("circular double descents need n >= 2")
     _check_cap(n - 1, cap, "circular brute-force count",
                "use ddperm.circular.count_no_cyclic_dd")
-    import numpy as np
     total = 0
-    for block in _perm_blocks(tuple(range(1, n))):
-        first = np.full((block.shape[0], 1), n, dtype=np.int8)
-        w = np.hstack([first, block])
-        nxt = np.roll(w, -1, axis=1)
-        desc = w > nxt                      # column i-1: descent at i (cyclic)
-        prev = np.roll(desc, 1, axis=1)     # column i-1: descent at i-1
-        has_dd = (desc & prev).any(axis=1)
-        total += int((~has_dd).sum())
+    for rows, d in _blocks(n - 1):
+        # cyclic descents at 1..n: w_1 = n > w_2 always, w_n > w_1 never
+        cyclic = (rows, *d, 0)
+        has_dd = 0
+        for i in range(n):
+            has_dd |= cyclic[i - 1] & cyclic[i]
+        total += rows.bit_count() - has_dd.bit_count()
     return total

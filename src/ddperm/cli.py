@@ -301,6 +301,7 @@ def cmd_conjecture(args) -> int:
         report = conjectures.ratio_table_report(size(12))
     else:
         raise UsageError(f"unknown conjecture id {args.id!r}")
+    _check_printable(report)
     if args.out is not None:
         conjectures.write_report(report, args.format, args.out)
         print(f"wrote {args.format} report to {args.out}")
@@ -312,6 +313,22 @@ def cmd_conjecture(args) -> int:
             sys.stdout.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
     print(f"verdict: {report.verdict.value}", file=sys.stderr)
     return EXIT_CHECK_FAILED if report.verdict is conjectures.Verdict.VIOLATED else EXIT_OK
+
+
+def _check_printable(report) -> None:
+    """Refuse a report with an integer cell past the interpreter's
+    integer-to-string digit limit (``PYTHONINTMAXSTRDIGITS``)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    top = max((abs(c) for row in report.rows for c in row if isinstance(c, int)),
+              default=0)
+    if limit and top >= 10**limit:
+        digits = (top.bit_length() - 1) * 3 // 10  # at most the digit count
+        while 10**digits <= top:
+            digits += 1
+        raise CapExceeded(
+            f"conjecture {report.conjecture_id} at n={report.n_range[1]} has a "
+            f"{digits}-digit cell, past the interpreter's limit of {limit} "
+            "digits for integer-to-string conversion (PYTHONINTMAXSTRDIGITS)")
 
 
 def cmd_selftest(args) -> int:

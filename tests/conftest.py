@@ -1,9 +1,10 @@
 """Shared test helpers.
 
 The reference census here recomputes double-descent statistics with a
-plain itertools scan, independent of both the numpy enumeration in
-ddperm.bruteforce and the dynamic program in ddperm.counting, so the
-package's two counting routes are checked against a third.
+plain itertools scan, one permutation tuple at a time, independent of
+both the bit-sliced sweep in ddperm.bruteforce and the dynamic program
+in ddperm.counting, so the package's two counting routes are checked
+against a third.
 """
 
 from __future__ import annotations

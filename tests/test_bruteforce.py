@@ -44,12 +44,12 @@ def test_no_dd_ascent_counts():
 
 
 def test_census_matches_reference_scan():
-    for n in range(0, 8):
+    for n in range(0, 9):
         assert bf.dd_census(n) == reference_dd_census(n)
 
 
 def test_descent_census_matches_reference_scan():
-    for n in range(2, 7):
+    for n in range(2, 9):
         reference = reference_descent_census(n)
         for des, count in reference.items():
             assert bf.count_descents_exact(des, n) == count
@@ -72,7 +72,7 @@ def test_ascent_split():
     import itertools
     from collections import Counter
 
-    for n in range(2, 7):
+    for n in range(2, 9):
         with_initial_descent: Counter[tuple[int, ...]] = Counter()
         for w in itertools.permutations(range(1, n + 1)):
             if w[0] > w[1]:
@@ -130,7 +130,7 @@ def test_circular_count_matches_direct_scan():
     # independent scan over canonical representatives
     import itertools
 
-    for n in range(3, 8):
+    for n in range(3, 10):
         count = 0
         for rest in itertools.permutations(range(1, n)):
             w = (n,) + rest
