@@ -152,6 +152,10 @@ def cross_method_equivalence():
         for hook in hooks:
             yield (f"rim hook {hook} from its descents",
                    rimhooks.from_descents(hook.descent_positions(), n), hook)
+            if n <= 9:
+                yield (f"fillings of {hook} vs descent census",
+                       rimhooks.tableau_count(hook),
+                       bruteforce.count_descents_exact(hook.descent_positions(), n))
 
 
 def conjecture_evidence_at_large_n():

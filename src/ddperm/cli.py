@@ -97,7 +97,7 @@ def cmd_count(args) -> int:
         methods = ["dp"]
         if args.n <= _brute_cap():
             methods.append("brute")
-        if args.n <= rimhooks.DEFAULT_LIST_CAP:
+        if 1 <= args.n <= rimhooks.DEFAULT_LIST_CAP:
             methods.append("rimhook")
         results = {}
         for method in methods:

@@ -39,6 +39,11 @@ def test_count_all_methods_agree():
     assert result.returncode == 0
     assert result.stdout.count("= 3") == 3
     assert "agreement: OK" in result.stdout
+    # no rim hook has length 0, so n = 0 compares the dp and brute lines
+    result = run_cli("count", "--set", "", "--n", "0", "--all-methods")
+    assert result.returncode == 0
+    assert result.stdout == ("dd({};0) = 1  [method: dp]\n"
+                             "dd({};0) = 1  [method: brute]\nagreement: OK\n")
 
 
 def test_count_usage_errors():
@@ -67,7 +72,7 @@ def test_singleton_table_cap_exit_code():
     ("egf-check", "--which", "ddempty", "--order", "3000"),
     ("egf-check", "--which", "b", "--order", str(counting.DP_CAP + 1)),
     ("conjecture", "run", "--id", "6.1", "--n", "1000"),
-    ("rimhook", "minimal", "--set", "3", "--height", "14"),
+    ("rimhook", "minimal", "--set", "3", "--height", "499"),
 ])
 def test_sequence_cap_refuses_at_once(argv):
     # these ran for minutes (or seconds, just past the series cap); each

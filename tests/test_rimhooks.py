@@ -236,23 +236,27 @@ def test_realizable_is_nonzero_in_census():
 
 
 def test_minimal_search_early_none_agrees_with_walk():
-    # the early answer for unrealizable sets and too-low heights must be
-    # what walking every composition up to the default length finds
-    for h in range(1, 5):
-        for indices in all_index_sets(1, 4):
-            max_len = 2 * h + 2 * max(indices, default=0) + 2
-            walked = next(
-                (rh.RimHook(rows) for n in range(h, max_len + 1)
-                 for rows in rh._compositions(n, h)
-                 if rh.RimHook(rows).double_descents() == indices),
-                None,
-            )
-            assert rh.minimal_search(indices, h) == walked, (indices, h)
+    # the construction, and its early answer for unrealizable sets and
+    # too-low heights, must be what walking every row tuple in order of
+    # length, then lexicographically, up to the default length finds
+    def walk(indices, h):
+        for n in range(h, 2 * h + 2 * max(indices, default=0) + 3):
+            for cuts in itertools.combinations(range(1, n), h - 1):
+                if tuple(i for i in cuts if i - 1 in cuts) == indices:
+                    return rh.from_descents(cuts, n)
+        return None
+
+    cases = [(indices, h) for h in range(1, 5) for indices in all_index_sets(1, 4)]
+    cases += [(indices, h) for h in range(1, 8) for indices in all_index_sets(2, 6)
+              if rh.realizable(indices)]
+    for indices, h in cases:
+        assert rh.minimal_search(indices, h) == walk(indices, h), (indices, h)
 
 
 def test_minimal_search_walk_bound():
-    # the refusal counts every composition shorter than 2h - 2 - |I|;
-    # no minimal hook is that short
+    # no minimal hook is shorter than 2h - 2 - |I| squares: an interior
+    # row of one square puts a double descent at its end, so the other
+    # h - 2 - |I| interior rows have two squares or more
     for h in range(1, 8):
         for indices in all_index_sets(2, 6):
             hook = rh.minimal_search(indices, h)
@@ -260,17 +264,19 @@ def test_minimal_search_walk_bound():
                 assert hook.length >= 2 * h - 2 - len(indices), (indices, h)
 
 
-def test_minimal_search_refuses_past_the_walk_cap(monkeypatch):
+def test_minimal_search_refuses_past_the_length_cap():
+    # max(I) + 2h bounds the hook's length; h is the largest height the
+    # cap accepts for {3}
+    h = (rh.MINIMAL_LENGTH_CAP - 3) // 2
     start = time.perf_counter()
-    with pytest.raises(CapExceeded, match="at least 1961256 compositions"):
-        rh.minimal_search((3,), 14)
+    with pytest.raises(CapExceeded, match=f"up to {3 + 2 * h + 2} squares exceeds"):
+        rh.minimal_search((3,), h + 1)
+    hook = rh.minimal_search((3,), h)
     assert time.perf_counter() - start < 1
-    # {3} at height 6 walks 169 compositions, more than this cap allows,
-    # though the 28 shorter than its bound pass the up-front count
-    monkeypatch.setattr(rh, "MINIMAL_WALK_CAP", 100)
-    with pytest.raises(CapExceeded, match="walk passed the cap of 100"):
-        rh.minimal_search((3,), 6)
-    assert rh.minimal_search((3,), 5).length == 8
+    assert hook.height == h and hook.double_descents() == (3,)
+    assert hook.length == 2 * h - 2
+    # the None answers come first, whatever the height
+    assert rh.minimal_search((2, 4), 10**6) is None
 
 
 def test_add_square():
@@ -319,8 +325,20 @@ def test_tableau_count():
     hooks = rh.enumerate_rimhooks((2,), 6)
     total = sum(rh.tableau_count(h) for h in hooks)
     assert total == counting.dd_count((2,), 6)
-    with pytest.raises(CapExceeded):
-        rh.tableau_count(rh.RimHook((1,) * 26))
+    # only the reversal n..1 fills a single column
+    assert rh.tableau_count(rh.RimHook((1,) * 26)) == 1
+    # the alternating descent sets {2, 4, 6, ...} count the up-down
+    # permutations: Euler zigzag numbers, from a boustrophedon triangle
+    row, zigzag = [1], [1]
+    for _ in range(40):
+        nxt = [0]
+        for x in reversed(row):
+            nxt.append(nxt[-1] + x)
+        row = nxt
+        zigzag.append(row[-1])
+    for n in range(1, 41):
+        hook = rh.from_descents(range(2, n, 2), n)
+        assert rh.tableau_count(hook) == zigzag[n], n
 
 
 def test_dd_count_via_rimhooks():
