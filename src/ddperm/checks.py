@@ -164,17 +164,25 @@ def conjecture_evidence_at_large_n():
         yield _holds(conjectures.ratio_monotonicity_report(n))
     for alpha, beta in EQUIDIST_WINDOWS:
         yield _holds(conjectures.equidistribution_report(200, alpha, beta))
-    # the 6.1 tail sums against the sums of each singleton row
-    rows = [counting.dd_singleton_row(m) for m in range(121)]
+
+
+def singleton_row_vs_dp():
+    for n, positions in ((120, range(2, 120)), (300, (*range(2, 8), 149, 150))):
+        row = counting.dd_singleton_row(n)
+        for m in positions:
+            yield f"row vs dp for dd({{{m}}};{n})", row[m], counting.dd_count((m,), n)
+    # each 6.1 row's (window sum, total), the total read back from its
+    # share (beta - alpha) * total; None for a row marked empty
+    censuses = [bruteforce.dd_census(n) for n in range(11)]
     for alpha, beta in EQUIDIST_WINDOWS:
-        windows = [[i for i in range(2, m) if alpha * m < i < beta * m]
-                   for m in range(121)]
-        tails = counting.dd_singleton_window_sums(
-            {m: (inside[0], inside[-1]) if inside else (2, 1)
-             for m, inside in enumerate(windows)})
-        for m, (row, inside) in enumerate(zip(rows, windows)):
-            yield (f"6.1 total and window sum at n={m}, window ({alpha}, {beta})",
-                   tails[m], (sum(row.values()), sum(row[i] for i in inside)))
+        report = conjectures.equidistribution_report(10, alpha, beta, n_min=1)
+        for (m, inside, num, den, *_), census in zip(report.rows, censuses[1:]):
+            row = {i: census.get((i,), 0) for i in range(2, m)}
+            window = [v for i, v in row.items() if alpha * m < i < beta * m]
+            total = sum(row.values())
+            yield (f"6.1 window sum and total at n={m}, window ({alpha}, {beta})",
+                   (inside, Fraction(num, den) / (beta - alpha)) if inside != "" else None,
+                   (sum(window), total) if window and total else None)
 
 
 def _first_mismatch(cases) -> str | None:
@@ -197,5 +205,6 @@ CHECKS = {
         ("conjecture-evidence", conjecture_evidence),
         ("cross-method-equivalence", cross_method_equivalence),
         ("conjecture-evidence-at-large-n", conjecture_evidence_at_large_n),
+        ("singleton-row-vs-dp", singleton_row_vs_dp),
     ]
 }

@@ -8,10 +8,8 @@ tooling cannot upgrade evidence into proof.  All comparisons are exact
 ints, turned into text only where a report is written; decimals in the
 rows are renderings only, each by one integer division of the row's own
 numerator and denominator.  Fractions are built only where a verdict or
-a tail summary compares values across rows.  The 6.1 sweep reads window
-sums from prefix-tail sums of one forward pass
-(:func:`ddperm.counting.dd_singleton_window_sums`), no singleton rows,
-and is capped at ``EQUIDIST_CAP``.
+a tail summary compares values across rows.  The 6.1 sweep sums one
+singleton row per length and is capped at ``EQUIDIST_CAP``.
 """
 
 from __future__ import annotations
@@ -32,10 +30,9 @@ PLACES = 10
 
 DEFAULT_SWEEP_MAX = 30
 
-# Largest n of a 6.1 sweep: its tail sums take O(n^2 + w n^3) additions
-# of O(n log n)-bit integers, w the window's cut fraction (at most 1/2);
-# n = 400 takes 0.9-1.5 s on a 2-vCPU VM (one singleton row per length
-# took 6-10 s).
+# Largest n of a 6.1 sweep: one singleton row per length, O(n^2)
+# products of O(n log n)-bit integers in all; n = 400 takes about
+# 0.25 s on a 2-vCPU VM.
 EQUIDIST_CAP = 400
 
 
@@ -107,8 +104,8 @@ def write_report(report: ConjectureReport, fmt: str, path) -> None:
 
 
 def singleton_table(n: int) -> dict[int, int]:
-    """{i: dd({i}; n)} for all singleton positions, from one O(n^2)
-    pass (:func:`ddperm.counting.dd_singleton_row`)."""
+    """{i: dd({i}; n)} for all singleton positions, in O(n) products
+    (:func:`ddperm.counting.dd_singleton_row`)."""
     return counting.dd_singleton_row(n)
 
 
@@ -127,8 +124,7 @@ def equidistribution_report(n: int, alpha: Fraction, beta: Fraction,
     the total as n grows.
 
     Sweeps n_min..n (n < n_min raises ``ValueError``), reading every
-    length's total and window sum from one
-    :func:`ddperm.counting.dd_singleton_window_sums` pass; rows with no
+    length's total and window sum from its singleton row; rows with no
     integer i in the open window are marked empty.  The verdict is
     supportive when the final ratio sits within [0.8, 1.2] and is no
     farther from 1 than the first half of the sweep got (a harness
@@ -146,15 +142,16 @@ def equidistribution_report(n: int, alpha: Fraction, beta: Fraction,
     if n < n_min:
         raise ValueError(f"the 6.1 sweep needs n >= n_min = {n_min}, got n={n}")
     width = beta - alpha
-    bounds = {m: _window_bounds(alpha, beta, m) for m in range(n_min, n + 1)}
-    sums = counting.dd_singleton_window_sums(bounds)
     rows = []
     pairs: list[tuple[int, int]] = []  # inside/share as (num, den)
-    for m, (lo, hi) in bounds.items():
-        total, inside = sums[m]
+    for m in range(n_min, n + 1):
+        lo, hi = _window_bounds(alpha, beta, m)
+        row = counting.dd_singleton_row(m)
+        total = sum(row.values())
         if lo > hi or total == 0:
             rows.append((m, "", "", "", "", "empty"))
             continue
+        inside = sum(row[i] for i in range(lo, hi + 1))
         # share = width * total in lowest terms; width is already reduced
         g = gcd(total, width.denominator)
         share_num = width.numerator * total // g

@@ -7,24 +7,35 @@ descended); appending an entry of rank s creates a descent iff s is at
 most the old last rank, and a double descent at position i iff both the
 old and the new step descend.  One step function carries the states
 from length i to i+1, requiring or forbidding a double descent at i;
-every counter here loops over it, in O(n^2) exact big-integer work:
+every DP counter here loops over it, in O(n^2) exact big-integer work:
 
 * :func:`dd_count` / :func:`dd_ascent_count`: one set at one length;
 * :func:`dd_counts` / :func:`dd_ascent_counts`: one set at every length
-  up to n_max, from a single forward pass;
-* :func:`dd_singleton_row`: dd({m}; n) for every m at once, from the
-  no-double-descent forward states, one requiring step at m and a
-  backward pass of completion counts (the transposed step) - the
-  transfer-matrix method (Stanley, Enumerative Combinatorics I, 4.7).
-  The entry vector at m (the state after the requiring step) does not
-  depend on n, so one forward pass per process serves every row: the
-  entry vectors are kept in a module-level list that grows on demand,
-  and the last few rows are cached;
-* :func:`dd_singleton_window_sums`: the sum of dd({i}; m) over a window
-  of positions, at many lengths m, from prefix-tail sums of one forward
-  pass over the prefixes with exactly one double descent.
+  up to n_max, from a single forward pass.
 
-The empty-set columns grow on demand too, once per process.
+The empty-set columns grow on demand, once per process.
+
+:func:`dd_singleton_row` gives dd({m}; n) for every m at once in O(n)
+big-integer products, by a closed form in the two empty-set columns
+(the cluster method of Goulden and Jackson, as used by Elizalde and
+Noy, "Consecutive patterns in permutations", 2003).  Let F(k) =
+dd(empty; k) and a(k) the initial-ascent count, a(0) = a(1) = 1.
+Inclusion-exclusion over the sets J containing m groups the
+permutations by the maximal forced decreasing run [m-i, m+j] around m:
+a multinomial shuffles the run with its two sides, each side counted
+by F, and the sets J inside the run have the signed count g(i) g(j),
+g = -1, 1, 0 repeating.  Splitting g(i) g(j) over the cube roots of 1
+leaves the transform sum_k C(s,k) w^(s-k) F(k), w a primitive cube
+root of 1, and that is (1 + w) a(s) for s >= 1: w e^(wx) / D(x), with
+D = 1/EGF(F), is (sqrt 3/2)(i - tan(sqrt 3 x/2 + pi/6)), while
+1/2 + (sqrt 3/2) tan(sqrt 3 x/2 + pi/6) is the EGF of a.  So with
+s = m - 1 and e_r(k) = [k = r mod 3],
+
+    dd({m}; n) = sum_(t=1..s) C(n,t) (e_0(s-t) a(t) F(n-t)
+                                      - e_2(s-t) F(t) a(n-t))
+                 - e_1(s) F(n) - e_2(s) a(n),
+
+summed for every m at once as running sums split by t mod 3.
 
 Also here: the convolution recursions for the no-double-descent
 sequences, the singleton-set recursion that rebuilds dd({m}; n+1) from
@@ -39,7 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
-from operator import add, mul
+from operator import add
 from typing import Callable, Iterable, Iterator
 
 from .errors import CapExceeded
@@ -66,13 +77,6 @@ def _step(asc: list[int], desc: list[int], must: bool) -> tuple[list[int], list[
     if must:
         return [0] * (len(asc) + 1), _suffix_sums(desc) + [0]
     return [0, *accumulate(map(add, asc, desc))], _suffix_sums(asc) + [0]
-
-
-def _step_back(asc: list[int], desc: list[int]) -> tuple[list[int], list[int]]:
-    """Transpose of a forbidding :func:`_step`: from the completion
-    counts of each state at length i+1, those at length i."""
-    after = _suffix_sums(asc)[1:]
-    return list(map(add, accumulate(desc[:-1]), after)), after
 
 
 def _prefix_states(dd_positions: frozenset[int], n: int,
@@ -190,112 +194,39 @@ def dd_ascent_counts(dd_set: Iterable[int], n_max: int,
     return _column(dd_set, n_max, cap, True)
 
 
-# Entry vectors of the singleton rows: _ENTRIES[m - 1] is the desc
-# vector after a requiring step at m from the no-double-descent prefix
-# state of length m; _frontier is that state at length len(_ENTRIES) + 1.
-# Only these and the latest state are kept, not every forward state.
-_ENTRIES: list[list[int]] = []
-_frontier = ([1], [0])
+def _singleton_half_row(n: int, free: list[int], ascent: list[int]) -> list[int]:
+    """[dd({m}; n) for m = 2..ceil(n/2)] from the closed form of the
+    module docstring, given F = ``free`` and a = ``ascent`` to length n.
 
-
-def _entry_vector(m: int) -> list[int]:
-    global _frontier
-    while len(_ENTRIES) < m:
-        asc, desc = _frontier
-        _ENTRIES.append(_step(asc, desc, True)[1])
-        _frontier = _step(asc, desc, False)
-    return _ENTRIES[m - 1]
+    u[r] and v[r] are the running sums over t = r mod 3 of
+    C(n,t) a(t) F(n-t) and C(n,t) F(t) a(n-t); the row at s reads the
+    residues t = s and t = s + 1 (s - t = 0 and 2 mod 3).
+    """
+    u, v, binomial = [0, 0, 0], [0, 0, 0], 1
+    row = []
+    for s in range(1, -(-n // 2)):
+        binomial = binomial * (n - s + 1) // s
+        u[s % 3] += binomial * ascent[s] * free[n - s]
+        v[s % 3] += binomial * free[s] * ascent[n - s]
+        row.append(u[s % 3] - v[(s + 1) % 3]
+                   - (s % 3 == 1) * free[n] - (s % 3 == 2) * ascent[n])
+    return row
 
 
 def dd_singleton_row(n: int, cap: int = DP_CAP) -> dict[int, int]:
-    """{m: dd({m}; n)} for m = 2..n-1 in O(n^2) exact work.
+    """{m: dd({m}; n)} for m = 2..n-1 in O(n) big-integer products.
 
-    dd({m}; n) is the number of ways to reach a no-double-descent
-    prefix of length m, take one step that requires a double descent at
-    m, and complete without double descents: an entry vector dotted
-    with a backward vector of completion counts.  Entry vectors are
-    shared by every row of the process and needed only up to m =
-    ceil(n/2); the other half of the row follows from the
-    reverse-complement symmetry dd({m}; n) = dd({n+1-m}; n).  Each call
-    returns a fresh dict.
+    The lower half comes from :func:`_singleton_half_row` over the
+    empty-set columns (O(n^2) additions once per process), the upper
+    half from the reverse-complement symmetry dd({m}; n) =
+    dd({n+1-m}; n).  Each call returns a fresh dict.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > cap:
         raise CapExceeded(f"singleton row at n={n} exceeds the cap {cap}")
-    return dict(zip(range(2, n), _singleton_row(n)))
-
-
-@lru_cache(maxsize=4)
-def _singleton_row(n: int) -> tuple[int, ...]:
-    half = -(-n // 2)
-    row = {}
-    back_asc, back_desc = [1] * n, [1] * n
-    for m in range(n - 1, 1, -1):
-        # back_* now count the completions of each length-(m+1) state;
-        # a requiring step leaves only descending states
-        if m <= half:
-            row[m] = sum(map(mul, _entry_vector(m), back_desc))
-        if m > 2:
-            back_asc, back_desc = _step_back(back_asc, back_desc)
-    return tuple(row[min(m, n + 1 - m)] for m in range(2, n))
-
-
-def dd_singleton_window_sums(windows: dict[int, tuple[int, int]],
-                             cap: int = DP_CAP) -> dict[int, tuple[int, int]]:
-    """{m: (total, inside)} for each length m with its window (lo, hi):
-    total = sum of dd({i}; m) over i = 2..m-1, inside the same sum over
-    lo <= i <= hi (0 for an empty window).  Agrees with the sums of
-    :func:`dd_singleton_row`, with no row built.
-
-    One forward pass carries the no-double-descent states U_L and the
-    states V_L of length-L prefixes with exactly one double descent:
-    V_(L+1) is a forbidding step from V_L plus the requiring step from
-    U_L, and sum(V_m) is the total.  T(m, c) = sum of dd({i}; m) over
-    i <= c is the total at length m of forbidding steps from V_(c+1),
-    and by dd({i}; m) = dd({m+1-i}; m), inside = total - T(m, m-hi) -
-    T(m, lo-1).  Each cut c is stepped once, up to the longest length
-    that reads it: O(n^2 + w n^3) additions for cuts near w m, and no
-    multiplication.
-    """
-    if any(m < 0 for m in windows):
-        raise ValueError("lengths must be nonnegative")
-    n = max(windows, default=0)
-    if n > cap:
-        raise CapExceeded(f"singleton window sums at n={n} exceed the cap {cap}")
-    cuts = {}  # the cuts m - hi and lo - 1 of each nonempty window
-    for m, (lo, hi) in windows.items():
-        lo, hi = max(lo, 2), min(hi, m - 1)
-        if lo <= hi:
-            cuts[m] = (m - hi, lo - 1)
-    reach: dict[int, int] = {}  # T(m, c) = 0 for c < 2
-    for m, pair in cuts.items():
-        for c in pair:
-            if c >= 2:
-                reach[c] = max(reach.get(c, 0), m)
-    # tails[m] holds T(m, c) for m's cuts until length m is summed
-    tails: dict[int, dict[int, int]] = {m: {} for m in cuts}
-    sums = dict.fromkeys(windows, (0, 0))
-    no_dd, one_dd = ([1], [0]), ([0], [0])
-    for length in range(1, n + 1):
-        cut = length - 1
-        if cut in reach:  # one_dd is V_(cut+1)
-            asc, desc = one_dd
-            for m in range(length, reach[cut] + 1):
-                asc, desc = _step(asc, desc, False)
-                if cut in cuts.get(m, ()):
-                    tails[m][cut] = asc[-1]
-        asc, desc = _step(*one_dd, False)
-        if length in windows:
-            total = asc[-1]  # the sum of V_length
-            if length in cuts:
-                outside = tails.pop(length)
-                sums[length] = total, total - sum(outside.get(c, 0) for c in cuts[length])
-            else:
-                sums[length] = total, 0
-        one_dd = asc, list(map(add, desc, _step(*no_dd, True)[1]))
-        no_dd = _step(*no_dd, False)
-    return sums
+    half = _singleton_half_row(n, _empty_column(n, False), _empty_column(n, True))
+    return {m: half[min(m, n + 1 - m) - 2] for m in range(2, n)}
 
 
 @lru_cache(maxsize=None)

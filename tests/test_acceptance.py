@@ -36,7 +36,7 @@ BUDGETS = {  # seconds
     "generating-function-coefficients": 5, "rimhook-fibonacci-formulas": 10,
     "tableau-sum-identity-and-bounds": 60, "circular-rotation-counts": 60,
     "conjecture-evidence": 120, "cross-method-equivalence": 90,
-    "conjecture-evidence-at-large-n": 30,
+    "conjecture-evidence-at-large-n": 30, "singleton-row-vs-dp": 10,
 }
 
 
@@ -65,3 +65,4 @@ test_8_conjecture_evidence = _acceptance_test("conjecture-evidence")
 test_9_cross_method_equivalence = _acceptance_test("cross-method-equivalence")
 test_10_conjecture_evidence_at_large_n = _acceptance_test(
     "conjecture-evidence-at-large-n")
+test_11_singleton_row_vs_dp = _acceptance_test("singleton-row-vs-dp")

@@ -82,7 +82,7 @@ WINDOWS = [(Fraction(a), Fraction(b)) for a, b in (
 
 def _row_route_report(n, alpha, beta, n_min, tables):
     """Rows and verdict of a 6.1 report summed from whole singleton rows
-    (``tables[m]``): the oracle for the tail sums."""
+    (``tables[m]``) with Fraction arithmetic: the oracle for the report."""
     width = beta - alpha
     rows, pairs = [], []
     for m in range(n_min, n + 1):
@@ -103,7 +103,10 @@ def _row_route_report(n, alpha, beta, n_min, tables):
 
 
 def test_equidistribution_tail_route_matches_row_oracle():
-    tables = {m: cj.singleton_table(m) for m in range(81)}
+    # the rows from the per-m DP, not from the closed-form rows the
+    # report reads
+    tables = {m: {i: counting.dd_count((i,), m) for i in range(2, m)}
+              for m in range(81)}
     for n_min in (1, 2, 4, 10):
         for alpha, beta in WINDOWS:
             # every row up to length 80; the verdict at a few sweep ends
@@ -112,6 +115,24 @@ def test_equidistribution_tail_route_matches_row_oracle():
                 rows, supported = _row_route_report(n, alpha, beta, n_min, tables)
                 assert report.rows == rows, (n_min, alpha, beta, n)
                 assert (report.verdict is cj.Verdict.HOLDS_IN_RANGE) == supported
+
+
+def test_equidistribution_clamped_empty_and_one_position_windows():
+    # at m = 6, (1/100, 99/100) reaches below position 2, (2/5, 3/5)
+    # holds position 3 only and (40/100, 42/100) holds none
+    cases = {(Fraction(1, 100), Fraction(99, 100)): [2, 3, 4, 5],
+             (Fraction(2, 5), Fraction(3, 5)): [3],
+             (Fraction(40, 100), Fraction(42, 100)): []}
+    for (alpha, beta), inside in cases.items():
+        assert [i for i in range(2, 6) if alpha * 6 < i < beta * 6] == inside
+        report = cj.equidistribution_report(6, alpha, beta, n_min=6)
+        (row,) = report.rows
+        if not inside:
+            assert row == (6, "", "", "", "", "empty")
+            continue
+        total = sum(counting.dd_count((i,), 6) for i in range(2, 6))
+        assert row[1] == sum(counting.dd_count((i,), 6) for i in inside)
+        assert Fraction(row[2], row[3]) == (beta - alpha) * total
 
 
 def test_equidistribution_band_at_20():

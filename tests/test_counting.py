@@ -4,7 +4,7 @@ import pytest
 
 from conftest import all_index_sets
 from ddperm import bruteforce as bf
-from ddperm import counting
+from ddperm import counting, series
 from ddperm.errors import CapExceeded
 from ddperm.render import decimal_str, percent_str
 
@@ -153,15 +153,28 @@ def test_singleton_row_matches_per_m_dp():
 
 
 def test_singleton_rows_in_mixed_order(monkeypatch):
-    # start from an empty entry-vector list, so the rows below grow it,
-    # reuse it and hit the row cache in turn
-    monkeypatch.setattr(counting, "_ENTRIES", [])
-    monkeypatch.setattr(counting, "_frontier", ([1], [0]))
-    counting._singleton_row.cache_clear()
-    for n in (60, 10, 61, 33, 60):
+    # start from fresh empty-set columns, so the rows below grow them,
+    # read a prefix of them, grow them again and read a prefix again
+    monkeypatch.setattr(counting, "_EMPTY_COLUMNS",
+                        {flag: ([1], ([1], [0])) for flag in (False, True)})
+    for n in (80, 20, 120, 20):
         row = counting.dd_singleton_row(n)
         assert row == {m: counting.dd_count((m,), n) for m in range(2, n)}, n
-        row[2] += 1  # the second row at 60 must not see this
+        row[2] += 1  # the second row at 20 must not see this
+
+
+def test_singleton_half_row_from_the_series_columns():
+    # the closed form fed with F and a from the generating functions,
+    # which run no insertion DP
+    free = series.integer_coefficients(series.egf_no_dd(60))
+    ascent = series.integer_coefficients(series.egf_no_dd_ascent(60))
+    for n in range(0, 61):
+        half = counting._singleton_half_row(n, free, ascent)
+        positions = range(2, -(-n // 2) + 1)
+        assert half == [counting.dd_count((m,), n) for m in positions], n
+        if n < 11:
+            census = bf.dd_census(n)
+            assert half == [census.get((m,), 0) for m in positions], n
 
 
 def test_singleton_row_matches_census():
@@ -201,23 +214,6 @@ def test_empty_set_columns_match_convolutions(monkeypatch):
         assert ascent == counting.no_dd_ascent_counts(n), n
         plain[-1] += 1  # the later calls must not see these
         ascent[0] = 0
-
-
-def test_singleton_window_sums_match_rows():
-    # clamped, empty, one-position and full windows among them
-    windows = {m: (m // 3, m - 2 * m // 5) for m in range(41)}
-    windows.update({41: (0, 99), 42: (30, 10), 43: (25, 25), 44: (2, 43)})
-    sums = counting.dd_singleton_window_sums(windows)
-    assert list(sums) == list(windows)
-    for m, (lo, hi) in windows.items():
-        row = counting.dd_singleton_row(m)
-        inside = sum(v for i, v in row.items() if lo <= i <= hi)
-        assert sums[m] == (sum(row.values()), inside), m
-    assert counting.dd_singleton_window_sums({}) == {}
-    with pytest.raises(ValueError):
-        counting.dd_singleton_window_sums({-1: (2, 3)})
-    with pytest.raises(CapExceeded):
-        counting.dd_singleton_window_sums({counting.DP_CAP + 1: (2, 3)})
 
 
 def test_columns_and_row_caps():

@@ -3,7 +3,9 @@ includes them, ``-m "not slow"`` leaves them out).
 
 The default suite already checks the dynamic program against
 enumeration exhaustively up to n = 9; these push the same comparison to
-n = 10 and 11, where a full sweep takes seconds to tens of seconds.
+n = 10 and 11, where a full sweep takes seconds to tens of seconds, and
+check the closed-form singleton row against the per-m dynamic program
+at the cap n = 1000.
 """
 
 import math
@@ -29,3 +31,9 @@ def test_equivalence_exhaustive_n11():
     assert sum(census.values()) == math.factorial(11)
     for indices in all_index_sets(2, 10):
         assert counting.dd_count(indices, 11) == census.get(indices, 0)
+
+
+def test_singleton_row_at_the_cap():
+    row = counting.dd_singleton_row(1000)
+    for m in (2, 3, 500):
+        assert row[m] == counting.dd_count((m,), 1000), m
