@@ -82,6 +82,8 @@ def generating_function_coefficients():
                coefficients, column((), 30))
         yield (f"n! [x^n] of {egf.__name__}(30) vs {convolution.__name__}(30)",
                coefficients, convolution(30))
+        yield (f"n! [x^n] of {egf.__name__}(300) vs {column.__name__}((), 300)",
+               series.integer_coefficients(egf(300)), column((), 300))
     # egf_no_dd * D = 1 for D(x) = sum_k x^(3k)/(3k)! - x^(3k+1)/(3k+1)!,
     # whose n! [x^n] are 1, -1, 0 repeating
     counts = counting.dd_counts((), 60)

@@ -13,7 +13,10 @@ every DP counter here loops over it, in O(n^2) exact big-integer work:
 * :func:`dd_counts` / :func:`dd_ascent_counts`: one set at every length
   up to n_max, from a single forward pass.
 
-The empty-set columns grow on demand, once per process.
+The empty-set columns F(n) = dd(empty; n) and a(n) (initial ascent)
+grow on demand, once per process, from one pass: reverse-complement
+keeps double descents and turns w_1 < w_2 into w_(n-1) < w_n, so a(n)
+counts the no-double-descent words of length n ending in an ascent.
 
 :func:`dd_singleton_row` gives dd({m}; n) for every m at once in O(n)
 big-integer products, by a closed form in the two empty-set columns
@@ -135,22 +138,22 @@ def dd_ascent_count(dd_set: Iterable[int], n: int, cap: int = DP_CAP) -> int:
     return _insertion_count(n, frozenset(indices), True)
 
 
-# The empty-set columns, one per initial-ascent flag, grow on demand and
-# are shared by every call of the process: the counts of lengths
-# 0..L-1 and the prefix state of length L.
-_EMPTY_COLUMNS = {flag: ([1], ([1], [0])) for flag in (False, True)}
+# F and a for lengths 0..L-1 and the no-double-descent prefix state of
+# length L, grown on demand and shared by every call of the process;
+# a(L) = sum(asc) by reverse-complement (see the module docstring).
+_EMPTY_COLUMNS = ([1], [1], ([1], [0]))
 
 
-def _empty_column(n_max: int, initial_ascent: bool) -> list[int]:
-    counts, (asc, desc) = _EMPTY_COLUMNS[initial_ascent]
-    while len(counts) <= n_max:
+def _empty_columns(n_max: int) -> tuple[list[int], list[int]]:
+    global _EMPTY_COLUMNS
+    free, ascent, (asc, desc) = _EMPTY_COLUMNS
+    while len(free) <= n_max:
         asc, desc = _step(asc, desc, False)
-        if initial_ascent and len(counts) == 1:
-            desc = [0, 0]
-        # the new prefix sums end in the total of the previous length
-        counts.append(asc[-1])
-    _EMPTY_COLUMNS[initial_ascent] = counts, (asc, desc)
-    return counts[: n_max + 1]
+        # the prefix sums end in F(L), the suffix sums start with a(L)
+        free.append(asc[-1])
+        ascent.append(desc[0])
+    _EMPTY_COLUMNS = free, ascent, (asc, desc)
+    return free[: n_max + 1], ascent[: n_max + 1]
 
 
 def _column(dd_set: Iterable[int], n_max: int, cap: int,
@@ -161,7 +164,7 @@ def _column(dd_set: Iterable[int], n_max: int, cap: int,
     if n_max > cap:
         raise CapExceeded(f"dd column to n={n_max} exceeds the cap {cap}")
     if not indices:
-        return _empty_column(n_max, initial_ascent)
+        return _empty_columns(n_max)[initial_ascent]
     if indices[0] < 2:
         return [0] * (n_max + 1)
     top = max(indices)
@@ -225,8 +228,9 @@ def dd_singleton_row(n: int, cap: int = DP_CAP) -> dict[int, int]:
         raise ValueError("n must be nonnegative")
     if n > cap:
         raise CapExceeded(f"singleton row at n={n} exceeds the cap {cap}")
-    half = _singleton_half_row(n, _empty_column(n, False), _empty_column(n, True))
-    return {m: half[min(m, n + 1 - m) - 2] for m in range(2, n)}
+    half = _singleton_half_row(n, *_empty_columns(n))
+    # m > ceil(n/2) mirrors n + 1 - m; odd n keeps the middle entry once
+    return dict(zip(range(2, n), half + half[-1 - n % 2::-1]))
 
 
 @lru_cache(maxsize=None)

@@ -155,8 +155,7 @@ def test_singleton_row_matches_per_m_dp():
 def test_singleton_rows_in_mixed_order(monkeypatch):
     # start from fresh empty-set columns, so the rows below grow them,
     # read a prefix of them, grow them again and read a prefix again
-    monkeypatch.setattr(counting, "_EMPTY_COLUMNS",
-                        {flag: ([1], ([1], [0])) for flag in (False, True)})
+    monkeypatch.setattr(counting, "_EMPTY_COLUMNS", ([1], [1], ([1], [0])))
     for n in (80, 20, 120, 20):
         row = counting.dd_singleton_row(n)
         assert row == {m: counting.dd_count((m,), n) for m in range(2, n)}, n
@@ -206,14 +205,27 @@ def test_forward_columns_match_per_n_dp(indices):
 def test_empty_set_columns_match_convolutions(monkeypatch):
     # start from fresh columns, so the calls below grow them, serve a
     # prefix and grow them again
-    monkeypatch.setattr(counting, "_EMPTY_COLUMNS",
-                        {flag: ([1], ([1], [0])) for flag in (False, True)})
+    monkeypatch.setattr(counting, "_EMPTY_COLUMNS", ([1], [1], ([1], [0])))
     for n in (60, 10, 150, 61):
         plain, ascent = counting.dd_counts((), n), counting.dd_ascent_counts((), n)
         assert plain == counting.no_dd_counts(n), n
         assert ascent == counting.no_dd_ascent_counts(n), n
         plain[-1] += 1  # the later calls must not see these
         ascent[0] = 0
+
+
+def test_ascent_column_grown_first_matches_flagged_dp(monkeypatch):
+    # fresh columns grown by the ascent column first, then in mixed
+    # order; a(n) is read off the forbidding pass by reverse-complement,
+    # the flagged per-n DP forces w_1 < w_2 itself
+    monkeypatch.setattr(counting, "_EMPTY_COLUMNS", ([1], [1], ([1], [0])))
+    early = counting.dd_ascent_counts((), 70)
+    free = counting.dd_counts((), 10)
+    ascent = counting.dd_ascent_counts((), 120)
+    assert ascent[:2] == [1, 1]
+    assert ascent[2:] == [counting.dd_ascent_count((), n) for n in range(2, 121)]
+    assert early == ascent[:71]
+    assert free == counting.no_dd_counts(10)
 
 
 def test_columns_and_row_caps():

@@ -5,7 +5,8 @@ The default suite already checks the dynamic program against
 enumeration exhaustively up to n = 9; these push the same comparison to
 n = 10 and 11, where a full sweep takes seconds to tens of seconds, and
 check the closed-form singleton row against the per-m dynamic program
-at the cap n = 1000.
+and both empty-set columns against the generating functions at the cap
+n = 1000.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 
 from conftest import all_index_sets
 from ddperm import bruteforce as bf
-from ddperm import counting
+from ddperm import counting, series
 
 pytestmark = pytest.mark.slow
 
@@ -37,3 +38,11 @@ def test_singleton_row_at_the_cap():
     row = counting.dd_singleton_row(1000)
     for m in (2, 3, 500):
         assert row[m] == counting.dd_count((m,), 1000), m
+
+
+def test_empty_set_columns_at_the_cap():
+    # the series run no DP code
+    assert counting.dd_counts((), 1000) == series.integer_coefficients(
+        series.egf_no_dd(1000))
+    assert counting.dd_ascent_counts((), 1000) == series.integer_coefficients(
+        series.egf_no_dd_ascent(1000))
