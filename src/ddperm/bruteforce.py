@@ -129,31 +129,29 @@ def count_dd_exact(dd_set: Iterable[int], n: int, cap: int = DEFAULT_CAP) -> int
     return table[key] + table[key | 1]
 
 
-def count_descents_exact(des_set: Iterable[int], n: int,
-                         cap: int = DEFAULT_CAP) -> int:
+def count_descents_exact(des_set: Iterable[int], n: int) -> int:
     """Number of w in S_n whose descent set is exactly ``des_set``."""
     indices = as_index_set(des_set)
-    _check_cap(n, cap, "brute-force descent count",
+    _check_cap(n, DEFAULT_CAP, "brute-force descent count",
                "use ddperm.rimhooks.tableau_count for the matching shape")
     if any(i < 1 or i > n - 1 for i in indices):
         return 0
     return _census(n, False)[_mask_of(indices)]
 
 
-def count_dd_ascent_exact(dd_set: Iterable[int], n: int,
-                          cap: int = DEFAULT_CAP) -> int:
+def count_dd_ascent_exact(dd_set: Iterable[int], n: int) -> int:
     """Number of w in S_n with w_1 < w_2 and double-descent set ``dd_set``."""
     if n < 2:
         raise ValueError("initial-ascent counts need n >= 2")
     indices = as_index_set(dd_set)
-    _check_cap(n, cap, "brute-force initial-ascent count",
+    _check_cap(n, DEFAULT_CAP, "brute-force initial-ascent count",
                "use ddperm.counting.dd_ascent_count")
     if any(i < 2 or i > n - 1 for i in indices):
         return 0
     return _census(n, True)[_mask_of(indices)]
 
 
-def count_no_dd_ascent_exact(n: int, cap: int = DEFAULT_CAP) -> int:
+def count_no_dd_ascent_exact(n: int) -> int:
     """Number of w in S_n with no double descents and no initial descent.
 
     By convention the n = 0 and n = 1 counts are 1.
@@ -162,34 +160,35 @@ def count_no_dd_ascent_exact(n: int, cap: int = DEFAULT_CAP) -> int:
         if n < 0:
             raise ValueError("n must be nonnegative")
         return 1
-    _check_cap(n, cap, "brute-force count",
+    _check_cap(n, DEFAULT_CAP, "brute-force count",
                "use ddperm.counting.no_dd_ascent_counts")
     return _census(n, True)[0]
 
 
-def dd_census(n: int, cap: int = DEFAULT_CAP) -> dict[IndexSet, int]:
+def dd_census(n: int) -> dict[IndexSet, int]:
     """Full table {double-descent set: count} over S_n, by enumeration."""
-    _check_cap(n, cap, "brute-force census", "reduce n")
+    _check_cap(n, DEFAULT_CAP, "brute-force census", "reduce n")
     table = _census(n, True)
     return {tuple(i for i in range(2, n) if key >> i - 1 & 1):
             table[key] + table[key | 1] for key in sorted({k & ~1 for k in table})}
 
 
-def count_rimhooks_exact(dd_set: Iterable[int], n: int,
-                         mask_cap: int = DEFAULT_MASK_CAP) -> int:
+def count_rimhooks_exact(dd_set: Iterable[int], n: int) -> int:
     """Number of length-n rim hooks whose encoded double-descent set is
     exactly ``dd_set``.
 
     A rim hook of length n corresponds to one descent set S in [n-1];
     the encoded double descents are the i with i-1 and i both in S.
-    This scans all 2^(n-1) masks, so n is capped (default 24).
+    This scans all 2^(n-1) masks, so n - 1 is capped at
+    ``DEFAULT_MASK_CAP``; it is the oracle of the rim-hook listing.
     """
     indices = as_index_set(dd_set)
     if n < 1:
         raise ValueError("rim hooks have length >= 1")
-    if n - 1 > mask_cap:
+    if n - 1 > DEFAULT_MASK_CAP:
         raise CapExceeded(
-            f"counting rim hooks at n={n} scans 2^{n - 1} masks (cap 2^{mask_cap}); "
+            f"counting rim hooks at n={n} scans 2^{n - 1} masks "
+            f"(cap 2^{DEFAULT_MASK_CAP}); "
             "use ddperm.rimhooks.count_singleton/count_empty where they apply"
         )
     if any(i < 2 or i > n - 1 for i in indices):

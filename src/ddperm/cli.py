@@ -206,10 +206,8 @@ def cmd_rimhook(args) -> int:
         from . import rimhooks
         hook = rimhooks.minimal_search(indices, args.height)
         if hook is None:
-            print(
-                f"none found up to length "
-                f"{2 * args.height + 2 * max(indices, default=0) + 2}"
-            )
+            print(f"none found: no rim hook of height {args.height} has "
+                  f"double-descent set {set_str(indices)}")
             return EXIT_OK
         print(rimhooks.format_skew(hook))
         if args.ascii:

@@ -54,13 +54,13 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from operator import add
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import CapExceeded
 from .perms import as_index_set
 
 # Guard against accidental huge DP runs; the DP is O(n^2) and fine far
-# beyond this, raise the cap per call if you mean it.
+# beyond this, but one count at the cap already takes about 0.5 s.
 DP_CAP = 1000
 
 
@@ -109,30 +109,30 @@ def _insertion_count(n: int, dd_positions: frozenset[int],
     return sum(asc) + sum(desc)
 
 
-def dd_count(dd_set: Iterable[int], n: int, cap: int = DP_CAP) -> int:
+def dd_count(dd_set: Iterable[int], n: int) -> int:
     """Number of w in S_n with double-descent set exactly ``dd_set``.
 
-    Exact for any n up to ``cap``; agrees with
+    Exact for any n up to ``DP_CAP``; agrees with
     :func:`ddperm.bruteforce.count_dd_exact` wherever both run.
     Sets not contained in [2, n-1] give 0.
     """
     indices = as_index_set(dd_set)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise CapExceeded(f"dd_count at n={n} exceeds the cap {cap}")
+    if n > DP_CAP:
+        raise CapExceeded(f"dd_count at n={n} exceeds the cap {DP_CAP}")
     if any(i < 2 or i > n - 1 for i in indices):
         return 0
     return _insertion_count(n, frozenset(indices), False)
 
 
-def dd_ascent_count(dd_set: Iterable[int], n: int, cap: int = DP_CAP) -> int:
+def dd_ascent_count(dd_set: Iterable[int], n: int) -> int:
     """Number of w in S_n with w_1 < w_2 and double-descent set ``dd_set``."""
     indices = as_index_set(dd_set)
     if n < 2:
         raise ValueError("initial-ascent counts need n >= 2")
-    if n > cap:
-        raise CapExceeded(f"dd_ascent_count at n={n} exceeds the cap {cap}")
+    if n > DP_CAP:
+        raise CapExceeded(f"dd_ascent_count at n={n} exceeds the cap {DP_CAP}")
     if any(i < 2 or i > n - 1 for i in indices):
         return 0
     return _insertion_count(n, frozenset(indices), True)
@@ -156,13 +156,12 @@ def _empty_columns(n_max: int) -> tuple[list[int], list[int]]:
     return free[: n_max + 1], ascent[: n_max + 1]
 
 
-def _column(dd_set: Iterable[int], n_max: int, cap: int,
-            initial_ascent: bool) -> list[int]:
+def _column(dd_set: Iterable[int], n_max: int, initial_ascent: bool) -> list[int]:
     indices = as_index_set(dd_set)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if n_max > cap:
-        raise CapExceeded(f"dd column to n={n_max} exceeds the cap {cap}")
+    if n_max > DP_CAP:
+        raise CapExceeded(f"dd column to n={n_max} exceeds the cap {DP_CAP}")
     if not indices:
         return _empty_columns(n_max)[initial_ascent]
     if indices[0] < 2:
@@ -181,20 +180,19 @@ def _column(dd_set: Iterable[int], n_max: int, cap: int,
     return counts
 
 
-def dd_counts(dd_set: Iterable[int], n_max: int, cap: int = DP_CAP) -> list[int]:
+def dd_counts(dd_set: Iterable[int], n_max: int) -> list[int]:
     """[dd(I; n) for n in 0..n_max] from one forward pass, O(n_max^2).
 
     Entries with n <= max(I) are 0; each entry equals :func:`dd_count`.
     """
-    return _column(dd_set, n_max, cap, False)
+    return _column(dd_set, n_max, False)
 
 
-def dd_ascent_counts(dd_set: Iterable[int], n_max: int,
-                     cap: int = DP_CAP) -> list[int]:
+def dd_ascent_counts(dd_set: Iterable[int], n_max: int) -> list[int]:
     """The initial-ascent column: entry n equals :func:`dd_ascent_count`
     for n >= 2; lengths 0 and 1 follow the a(0) = a(1) = 1 convention of
     :func:`no_dd_ascent_counts`."""
-    return _column(dd_set, n_max, cap, True)
+    return _column(dd_set, n_max, True)
 
 
 def _singleton_half_row(n: int, free: list[int], ascent: list[int]) -> list[int]:
@@ -216,7 +214,7 @@ def _singleton_half_row(n: int, free: list[int], ascent: list[int]) -> list[int]
     return row
 
 
-def dd_singleton_row(n: int, cap: int = DP_CAP) -> dict[int, int]:
+def dd_singleton_row(n: int) -> dict[int, int]:
     """{m: dd({m}; n)} for m = 2..n-1 in O(n) big-integer products.
 
     The lower half comes from :func:`_singleton_half_row` over the
@@ -226,8 +224,8 @@ def dd_singleton_row(n: int, cap: int = DP_CAP) -> dict[int, int]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise CapExceeded(f"singleton row at n={n} exceeds the cap {cap}")
+    if n > DP_CAP:
+        raise CapExceeded(f"singleton row at n={n} exceeds the cap {DP_CAP}")
     half = _singleton_half_row(n, *_empty_columns(n))
     # m > ceil(n/2) mirrors n + 1 - m; odd n keeps the middle entry once
     return dict(zip(range(2, n), half + half[-1 - n % 2::-1]))
@@ -289,11 +287,32 @@ def no_dd_counts(n_max: int) -> list[int]:
     return list(_no_dd(n_max))
 
 
-CProvider = Callable[[tuple[int, ...], int], int]
+def _singleton_head(m: int, n: int) -> tuple[int, int, list[int]]:
+    """The first two summands of :func:`dd_singleton_parts`, and the
+    column F = dd(empty; 0..n) that the third sums over."""
+    if m < 2:
+        raise ValueError(f"singleton position must be >= 2, got m={m}")
+    if n < m:
+        raise ValueError(f"need n >= m so that position m={m} exists in S_{n + 1}")
+    if m < 4:
+        warnings.warn(
+            f"m={m} relies on length-0/1 conventions outside the stated "
+            "range of the recursion; the result is cross-checked against "
+            "the insertion count",
+            stacklevel=3,
+        )
+    blocks = dd_ascent_counts((), n)
+    free = dd_counts((), n)
+    column = dd_counts((m,), n)
+    first = sum(
+        comb(n, k) * column[k] * blocks[n - k]
+        for k in range(m + 1, n + 1)
+    )
+    second = comb(n, m - 2) * free[m - 2] * (free[n - m + 2] - blocks[n - m + 2])
+    return first, second, free
 
 
-def dd_singleton_parts(m: int, n: int,
-                       c_provider: CProvider | None = None) -> tuple[int, int, int]:
+def dd_singleton_parts(m: int, n: int) -> tuple[int, int, int]:
     """The three summands whose total is dd({m}; n+1).
 
     Classifying w in S_{n+1} with a double descent at m by where the
@@ -309,44 +328,22 @@ def dd_singleton_parts(m: int, n: int,
       double descents; the remaining n-k start with an ascent and carry
       the double descent, now at m-1-k.
 
-    ``c_provider(dd_set, length)`` supplies the initial-ascent counts for
-    the third case (default: the exact DP).  m in {2, 3} relies on the
-    length-0/1 conventions and is cross-checked against the DP.
+    The third case reads the initial-ascent counts off the exact DP.
+    m in {2, 3} relies on the length-0/1 conventions and is
+    cross-checked against the DP.
     """
-    if m < 2:
-        raise ValueError(f"singleton position must be >= 2, got m={m}")
-    if n < m:
-        raise ValueError(f"need n >= m so that position m={m} exists in S_{n + 1}")
-    if m < 4:
-        warnings.warn(
-            f"m={m} relies on length-0/1 conventions outside the stated "
-            "range of the recursion; the result is cross-checked against "
-            "the insertion count",
-            stacklevel=3,
-        )
-    if c_provider is None:
-        c_provider = dd_ascent_count
-    blocks = dd_ascent_counts((), n)
-    free = dd_counts((), n)
-    column = dd_counts((m,), n)
-    first = sum(
-        comb(n, k) * column[k] * blocks[n - k]
-        for k in range(m + 1, n + 1)
-    )
-    second = comb(n, m - 2) * free[m - 2] * (free[n - m + 2] - blocks[n - m + 2])
+    first, second, free = _singleton_head(m, n)
     third = sum(
-        comb(n, k) * free[k] * c_provider((m - 1 - k,), n - k)
+        comb(n, k) * free[k] * dd_ascent_count((m - 1 - k,), n - k)
         for k in range(0, m - 3)
     )
     return first, second, third
 
 
-def dd_singleton_recursion(m: int, n: int,
-                           c_provider: CProvider | None = None) -> int:
+def dd_singleton_recursion(m: int, n: int) -> int:
     """dd({m}; n+1) assembled from smaller counts via
     :func:`dd_singleton_parts`; must agree with :func:`dd_count`."""
-    first, second, third = dd_singleton_parts(m, n, c_provider)
-    total = first + second + third
+    total = sum(dd_singleton_parts(m, n))
     if m < 4:
         direct = dd_count((m,), n + 1)
         if total != direct:
@@ -390,8 +387,7 @@ def dd_singleton_estimate(m: int, n: int,
     bad = {k: v for k, v in ratio_table.items() if not 0 < v <= 1}
     if bad:
         raise ValueError(f"ratio-table values must lie in (0, 1]: {bad}")
-    first, second, _ = dd_singleton_parts(m, n, c_provider=dd_ascent_count)
-    free = dd_counts((), n)
+    first, second, free = _singleton_head(m, n)
     third = sum(
         (
             comb(n, k) * free[k] * dd_count((m - 1 - k,), n - k)

@@ -90,17 +90,17 @@ def has_initial_ascent(w: Iterable[int]) -> bool:
     return word[0] < word[1]
 
 
-def iterate_permutations(n: int, cap: int = ITERATION_CAP) -> Iterator[Perm]:
+def iterate_permutations(n: int) -> Iterator[Perm]:
     """Yield the n! permutations of [n] in lexicographic order.
 
-    The empty permutation is yielded once for n = 0.  Refuses n > cap
-    (default 12) with CapExceeded.
+    The empty permutation is yielded once for n = 0.  Refuses
+    n > ``ITERATION_CAP`` (12) with CapExceeded.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > cap:
+    if n > ITERATION_CAP:
         raise CapExceeded(
-            f"refusing to enumerate {n}! permutations (cap {cap}); "
+            f"refusing to enumerate {n}! permutations (cap {ITERATION_CAP}); "
             "use the dynamic-programming counters instead"
         )
     return iter(itertools.permutations(range(1, n + 1)))

@@ -25,8 +25,8 @@ from .errors import CapExceeded
 from .perms import IndexSet, as_index_set
 from .render import set_str
 
-# enumerate/list operations materialize shapes; counting by formula goes
-# much further, so the list cap stays modest
+# listing materializes every shape (F_(n+1) = 10946 for the empty set at
+# n = 20); counting by formula goes much further, so the list cap stays modest
 DEFAULT_LIST_CAP = 20
 # max(I) + 2h bounds the length of minimal_search's hook; at the cap,
 # `rimhook minimal --set 3 --height 498 --ascii` prints 128 KB in < 0.1 s
@@ -173,30 +173,32 @@ def format_skew(r: RimHook) -> str:
     return text
 
 
-def enumerate_rimhooks(dd_set: Iterable[int], n: int,
-                       cap: int = DEFAULT_LIST_CAP) -> list[RimHook]:
+def enumerate_rimhooks(dd_set: Iterable[int], n: int) -> list[RimHook]:
     """All rim hooks of length n whose encoded double-descent set is
-    exactly ``dd_set``, ordered by the descent set read as a binary
-    number (ascending)."""
+    exactly ``dd_set``, ascending by the descent set read as a binary
+    number: positions n - 1 down to 1 are decided absent before present,
+    the descents i - 1, i of each i in the set are forced, and any other
+    x is taken only if x + 1 is not and x - 1 is not forced."""
     indices = as_index_set(dd_set)
     if n < 1:
         raise ValueError("rim hooks have length >= 1")
-    if n > cap:
+    if n > DEFAULT_LIST_CAP:
         raise CapExceeded(
-            f"listing rim hooks at n={n} scans 2^{n - 1} masks (cap n={cap})"
+            f"listing rim hooks at n={n} exceeds the cap n={DEFAULT_LIST_CAP}"
         )
-    if any(i < 2 or i > n - 1 for i in indices):
+    if any(i < 2 or i > n - 1 for i in indices) or not realizable(indices):
         return []
-    target = 0
-    for i in indices:
-        target |= 1 << i
-    found = []
-    for s in range(1 << (n - 1)):
-        mask = s << 1
-        if mask & (mask << 1) == target:
-            des = tuple(i for i in range(1, n) if mask >> i & 1)
-            found.append(from_descents(des, n))
-    return found
+    forced = {j for i in indices for j in (i - 1, i)}
+    partial: list[tuple[int, ...]] = [()]  # chosen descents, decreasing
+    for x in range(n - 1, 0, -1):
+        grown = []
+        for des in partial:
+            if x not in forced:
+                grown.append(des)
+            if x in forced or (x + 1 not in des[-1:] and x - 1 not in forced):
+                grown.append(des + (x,))
+        partial = grown
+    return [from_descents(des[::-1], n) for des in partial]
 
 
 @lru_cache(maxsize=None)
@@ -340,19 +342,17 @@ def tableau_count(r: RimHook) -> int:
     return g[-1]
 
 
-def dd_count_via_rimhooks(dd_set: Iterable[int], n: int,
-                          cap: int = DEFAULT_LIST_CAP) -> int:
+def dd_count_via_rimhooks(dd_set: Iterable[int], n: int) -> int:
     """dd(I; n) as the sum of tableau counts over all rim hooks of
     length n encoding I: every permutation with double-descent set I is
     the reading of exactly one filling of exactly one such rim hook."""
-    return sum(tableau_count(r) for r in enumerate_rimhooks(dd_set, n, cap))
+    return sum(tableau_count(r) for r in enumerate_rimhooks(dd_set, n))
 
 
-def dd_bounds(dd_set: Iterable[int], n: int,
-              cap: int = DEFAULT_LIST_CAP) -> tuple[int, int]:
+def dd_bounds(dd_set: Iterable[int], n: int) -> tuple[int, int]:
     """(min, max) of the tableau count over the encoding rim hooks,
     scaled by how many rim hooks there are; dd(I; n) lies between."""
-    hooks = enumerate_rimhooks(dd_set, n, cap)
+    hooks = enumerate_rimhooks(dd_set, n)
     if not hooks:
         raise ValueError("no rim hooks encode this set at this length")
     counts = [tableau_count(r) for r in hooks]

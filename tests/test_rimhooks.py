@@ -134,6 +134,22 @@ def test_enumerate_named_classes():
         rh.enumerate_rimhooks((), 25)
 
 
+def test_enumeration_matches_the_mask_scan():
+    # the construction against a scan of every descent mask, order
+    # included, and its lengths against the brute-force mask count
+    for n in range(1, 15):
+        scanned = {}
+        for s in range(1 << (n - 1)):
+            des = tuple(i for i in range(1, n) if s >> (i - 1) & 1)
+            dd = tuple(i for i in des if i - 1 in des)
+            scanned.setdefault(dd, []).append(rh.from_descents(des, n))
+        for indices in all_index_sets(2, n - 1):
+            hooks = rh.enumerate_rimhooks(indices, n)
+            assert hooks == scanned.get(indices, []), (indices, n)
+            if n <= 11:
+                assert len(hooks) == bf.count_rimhooks_exact(indices, n)
+
+
 def test_fibonacci_convention():
     assert [rh.fibonacci(k) for k in range(1, 12)] == [
         1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89,
