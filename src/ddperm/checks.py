@@ -187,6 +187,17 @@ def singleton_row_vs_dp():
                    (sum(window), total) if window and total else None)
 
 
+def set_columns_vs_dp():
+    # (2, 4) is unrealizable: double descents at 2 and 4 force one at 3
+    for indices in ((2,), (12,), (3, 7), (2, 3, 4), (5, 9, 10), (2, 4)):
+        for column, count in ((counting.dd_counts, counting.dd_count),
+                              (counting.dd_ascent_counts, counting.dd_ascent_count)):
+            values = column(indices, 300)
+            for n in (indices[-1] + 1, indices[-1] + 2, 150, 300):
+                yield (f"{column.__name__}({set_str(indices)}, 300)[{n}] vs "
+                       f"{count.__name__}", values[n], count(indices, n))
+
+
 def _first_mismatch(cases) -> str | None:
     for label, got, want in cases():
         if got != want:
@@ -208,5 +219,6 @@ CHECKS = {
         ("cross-method-equivalence", cross_method_equivalence),
         ("conjecture-evidence-at-large-n", conjecture_evidence_at_large_n),
         ("singleton-row-vs-dp", singleton_row_vs_dp),
+        ("set-columns-vs-dp", set_columns_vs_dp),
     ]
 }

@@ -6,12 +6,10 @@ state after i entries is (rank of the last entry, whether step i-1
 descended); appending an entry of rank s creates a descent iff s is at
 most the old last rank, and a double descent at position i iff both the
 old and the new step descend.  One step function carries the states
-from length i to i+1, requiring or forbidding a double descent at i;
-every DP counter here loops over it, in O(n^2) exact big-integer work:
-
-* :func:`dd_count` / :func:`dd_ascent_count`: one set at one length;
-* :func:`dd_counts` / :func:`dd_ascent_counts`: one set at every length
-  up to n_max, from a single forward pass.
+from length i to i+1, requiring or forbidding a double descent at i.
+:func:`dd_count` / :func:`dd_ascent_count` count one set at one length
+in O(n^2) exact big-integer work; they are the oracle for the closed
+forms below.
 
 The empty-set columns F(n) = dd(empty; n) and a(n) (initial ascent)
 grow on demand, once per process, from one pass: reverse-complement
@@ -39,6 +37,34 @@ s = m - 1 and e_r(k) = [k = r mod 3],
                  - e_1(s) F(n) - e_2(s) a(n),
 
 summed for every m at once as running sums split by t mod 3.
+
+:func:`dd_counts` / :func:`dd_ascent_counts` give the column of a
+non-empty set I, M = max I, the same way.  Group the sets J containing
+I by the maximal forced run [b, e] holding M's triple (b < M, and b - 1,
+b not in I): C(n, b-1) C(n-b+1, e-b+1) shuffles the run with its sides,
+entries 1..b-1 give the small insertion count dd(I & [2, b-2]; b-1),
+entries e+1..n give F(n-e), and the sets J inside the run have the
+signed count c(e-1), with c(b-1) = 1, c(b) = 0 and
+
+    c(p) = s(p) (c(p-1) + [p-1 not in I] c(p-2)),   s = +1 on I, -1 off I.
+
+Past M the weights repeat c(M), -c(M), 0, so the transform above sums
+the run lengths u >= 0 to (P_0 + P_1) a(n-b+1), P_r the weight at
+u = r mod 3; the runs too short to reach M are taken off against F.
+For n > M, with integers alpha_I, beta_I,
+
+    dd(I; n) = sum_(t=0..M) C(n,t) (alpha_I(t) F(n-t) + beta_I(t) a(n-t)).
+
+The initial-ascent column takes its left factor from the initial-ascent
+count, has no b = 1 term (that run starts with a descent), and at b = 2
+also subtracts the runs [1, e] with the same weights: w_1 > w_2 merges
+entry 1 into the run.  The coefficients take O(M^2) big-integer
+additions: every left factor from one prefix pass of the insertion DP,
+c(M) for every b from one backward sweep of the 2x2 steps of c, and the
+binomial sums in alpha_I by Pascal's rule.  Each entry then takes O(M)
+products, so a column costs O(M^2) additions and O((n - M) M) products:
+far below the O(n^2) additions of a DP pass while M is small, but above
+them once M is a sizable share of n.
 
 Also here: the convolution recursions for the no-double-descent
 sequences, the singleton-set recursion that rebuilds dd({m}; n+1) from
@@ -156,6 +182,38 @@ def _empty_columns(n_max: int) -> tuple[list[int], list[int]]:
     return free[: n_max + 1], ascent[: n_max + 1]
 
 
+def _set_coefficients(indices: tuple[int, ...],
+                      initial_ascent: bool) -> tuple[list[int], list[int]]:
+    """alpha_I and beta_I at t = 0..max I, the coefficients of the
+    general-set form in the module docstring, for a non-empty I that
+    starts at 2 or later, in O(max(I)^2) additions."""
+    top, inside = indices[-1], set(indices)
+    # left[L] = dd(I & [2, L-1]; L) for L = 0..max I - 2, one prefix pass
+    left = [1] + [sum(asc) + sum(desc) for asc, desc in
+                  _prefix_states(frozenset(indices), top - 2, initial_ascent)]
+    # weights[s]: the weights of the runs starting at s + 1.  (x, y) is
+    # the row e_1 A_top ... A_(b+1), A_p the 2x2 step taking
+    # (c(p-1), c(p-2)) to (c(p), c(p-1)), so the run from b has c(max I) = y
+    weights, (x, y) = [0] * (top + 1), (1, 0)
+    for b in range(top - 1, initial_ascent, -1):
+        sign = 1 if b + 1 in inside else -1
+        x, y = sign * x + y, sign * (b not in inside) * x
+        if b - 1 not in inside and b not in inside:
+            weights[b - 1] += left[b - 1] * y
+            # under w_1 < w_2, a run starting at 2 loses its runs [1, e]
+            weights[0] -= (initial_ascent and b == 2) * y
+    # the run [s + 1, e] weighs (1, -1, 0)[(e - 1 - max I) mod 3]; every
+    # e >= s sums to (P_0 + P_1) a(n - s) (beta), less the runs too short
+    # to reach max I against F (alpha); after e rounds of Pascal's rule,
+    # row[0] = sum_s C(e, s) weights[s]
+    beta = [w * (0, -1, 1)[(s - 1 - top) % 3] for s, w in enumerate(weights)]
+    alpha, row = [], weights
+    while row:
+        alpha.append(-row[0] * (1, -1, 0)[(len(alpha) - 1 - top) % 3])
+        row = list(map(add, row, row[1:]))
+    return alpha, beta
+
+
 def _column(dd_set: Iterable[int], n_max: int, initial_ascent: bool) -> list[int]:
     indices = as_index_set(dd_set)
     if n_max < 0:
@@ -164,24 +222,27 @@ def _column(dd_set: Iterable[int], n_max: int, initial_ascent: bool) -> list[int
         raise CapExceeded(f"dd column to n={n_max} exceeds the cap {DP_CAP}")
     if not indices:
         return _empty_columns(n_max)[initial_ascent]
-    if indices[0] < 2:
+    if indices[0] < 2 or indices[-1] >= n_max:
+        # a double descent at 1, or at max(I) >= n_max, fits no length
         return [0] * (n_max + 1)
-    top = max(indices)
-    counts = [0]
-    asc = desc = []
-    states = _prefix_states(frozenset(indices), n_max, initial_ascent)
-    for length, (asc, desc) in enumerate(states, start=1):
-        if length > 1:
-            # past max(I) every step forbids, and a forbidding step's
-            # prefix sums end in the total of the previous length
-            counts.append(asc[-1] if length > top + 1 else 0)
-    if n_max > 0:
-        counts.append(sum(asc) + sum(desc) if n_max > top else 0)
+    top = indices[-1]
+    counts = [0] * (top + 1)
+    free, ascent = _empty_columns(n_max)
+    terms = [(t, x, y) for t, (x, y) in
+             enumerate(zip(*_set_coefficients(indices, initial_ascent))) if x or y]
+    binomials = [comb(top, t) for t in range(top + 1)]
+    for n in range(top + 1, n_max + 1):
+        # C(n, t) for t <= max I by Pascal's rule from the row of n - 1
+        binomials = [1, *map(add, binomials[1:], binomials)]
+        counts.append(sum(binomials[t] * (x * free[n - t] + y * ascent[n - t])
+                          for t, x, y in terms))
     return counts
 
 
 def dd_counts(dd_set: Iterable[int], n_max: int) -> list[int]:
-    """[dd(I; n) for n in 0..n_max] from one forward pass, O(n_max^2).
+    """[dd(I; n) for n in 0..n_max] by the closed form of the module
+    docstring: once the empty-set columns are built, O(max(I)^2)
+    additions and O((n_max - max(I)) max(I)) products.
 
     Entries with n <= max(I) are 0; each entry equals :func:`dd_count`.
     """

@@ -37,6 +37,7 @@ BUDGETS = {  # seconds
     "tableau-sum-identity-and-bounds": 60, "circular-rotation-counts": 60,
     "conjecture-evidence": 120, "cross-method-equivalence": 90,
     "conjecture-evidence-at-large-n": 30, "singleton-row-vs-dp": 10,
+    "set-columns-vs-dp": 10,
 }
 
 
@@ -66,3 +67,4 @@ test_9_cross_method_equivalence = _acceptance_test("cross-method-equivalence")
 test_10_conjecture_evidence_at_large_n = _acceptance_test(
     "conjecture-evidence-at-large-n")
 test_11_singleton_row_vs_dp = _acceptance_test("singleton-row-vs-dp")
+test_12_set_columns_vs_dp = _acceptance_test("set-columns-vs-dp")

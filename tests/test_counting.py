@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -180,7 +181,13 @@ def test_per_m_dp_reverse_complement_symmetry():
             assert counting.dd_count((m,), n) == counting.dd_count((n + 1 - m,), n)
 
 
-@pytest.mark.parametrize("indices", [(), (3,), (2, 5), (3, 4, 5), (2, 4), (4, 8, 12)])
+FORWARD_COLUMN_SETS = [(), (3,), (2, 5), (3, 4, 5), (2, 4), (4, 8, 12)]
+
+
+# the closed form against the insertion DP, which it runs only for its
+# left factors (lengths < max(I)): every I in [2, 9] after the listed sets
+@pytest.mark.parametrize("indices", FORWARD_COLUMN_SETS + [
+    indices for indices in all_index_sets(2, 9) if indices not in FORWARD_COLUMN_SETS])
 def test_forward_columns_match_per_n_dp(indices):
     assert counting.dd_counts(indices, 40) == [
         counting.dd_count(indices, n) for n in range(0, 41)
@@ -188,6 +195,44 @@ def test_forward_columns_match_per_n_dp(indices):
     assert counting.dd_ascent_counts(indices, 40)[2:] == [
         counting.dd_ascent_count(indices, n) for n in range(2, 41)
     ]
+
+
+def test_set_columns_match_brute_force():
+    # the bit-sliced census shares no code with either column
+    for indices in all_index_sets(2, 9):
+        assert counting.dd_counts(indices, 10) == [
+            bf.dd_census(n).get(indices, 0) for n in range(0, 11)
+        ], indices
+        assert counting.dd_ascent_counts(indices, 10)[2:] == [
+            bf.count_dd_ascent_exact(indices, n) for n in range(2, 11)
+        ], indices
+
+
+def test_set_columns_on_random_sets_at_n_120():
+    rng = random.Random(20191029)
+    for _ in range(12):
+        top = rng.randint(2, 40)
+        rest = rng.sample(range(2, top), min(rng.randint(0, 4), top - 2))
+        indices = tuple(sorted({*rest, top}))
+        plain = counting.dd_counts(indices, 120)
+        ascent = counting.dd_ascent_counts(indices, 120)
+        for n in (top + 1, top + 2, 120):
+            assert plain[n] == counting.dd_count(indices, n), (indices, n)
+            assert ascent[n] == counting.dd_ascent_count(indices, n), (indices, n)
+
+
+@pytest.mark.parametrize("indices", [(2,), (5,), (3, 7), (1,), (1, 4), (2000,)])
+def test_set_columns_are_zero_up_to_max(indices, monkeypatch):
+    # n_max <= max(I) and sets holding 1 give zeros before any coefficient
+    # is built, so a set far beyond n_max costs nothing
+    def no_coefficients(*args):
+        raise AssertionError("coefficients built for an all-zero column")
+    monkeypatch.setattr(counting, "_set_coefficients", no_coefficients)
+    for column in (counting.dd_counts, counting.dd_ascent_counts):
+        for n_max in range(0, min(indices[-1], 30) + 1):
+            assert column(indices, n_max) == [0] * (n_max + 1), (column, n_max)
+        if indices[0] == 1:
+            assert column(indices, 30) == [0] * 31, column
 
 
 def test_empty_set_columns_match_convolutions(monkeypatch):

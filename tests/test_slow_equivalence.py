@@ -4,9 +4,9 @@ includes them, ``-m "not slow"`` leaves them out).
 The default suite already checks the dynamic program against
 enumeration exhaustively up to n = 9; these push the same comparison to
 n = 10 and 11, where a full sweep takes seconds to tens of seconds, and
-check the closed-form singleton row against the per-m dynamic program
-and both empty-set columns against the generating functions at the cap
-n = 1000.
+check the closed-form singleton row and set columns against the per-m
+and per-n dynamic program, and both empty-set columns against the
+generating functions, at the cap n = 1000.
 """
 
 import math
@@ -46,3 +46,10 @@ def test_empty_set_columns_at_the_cap():
         series.egf_no_dd(1000))
     assert counting.dd_ascent_counts((), 1000) == series.integer_coefficients(
         series.egf_no_dd_ascent(1000))
+
+
+@pytest.mark.parametrize("indices", [(3, 7), (5, 9, 10)])
+def test_set_columns_at_the_cap(indices):
+    assert counting.dd_counts(indices, 1000)[1000] == counting.dd_count(indices, 1000)
+    assert counting.dd_ascent_counts(indices, 1000)[1000] == (
+        counting.dd_ascent_count(indices, 1000))
