@@ -19,7 +19,7 @@ for n in (10, 20, 30, 100, 200, 300):
 held = [n for n in range(6, 301)
         if cj.down_up_report(n).verdict is cj.Verdict.HOLDS_IN_RANGE]
 print(f"  holds at {len(held)} of the {300 - 6 + 1} lengths n = 6..300 "
-      "(each row dd({i}; n) is one O(n^2) pass)")
+      "(each row dd({i}; n) is a closed form of O(n) products)")
 print()
 
 print("ratio series dd({2}; n) / dd({4}; n), last rows:")

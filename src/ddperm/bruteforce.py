@@ -29,12 +29,9 @@ from typing import Iterable, Iterator
 from .errors import CapExceeded
 from .perms import IndexSet, as_index_set
 
-# Default n! enumeration cap; at 11! permutations the double-descent census
+# The n! enumeration cap; at 11! permutations the double-descent census
 # takes 0.3 to 0.5 s and the descent census about 1 s (2-vCPU VM, Python 3.11).
 DEFAULT_CAP = 11
-# Hard ceiling for the override: 12! is a one-off-check scale (about 5 s
-# for the double-descent census, 11 s for the descent census), 13! is not.
-HARD_CAP = 12
 # Rim-hook counting iterates 2^(n-1) descent masks in pure Python.
 DEFAULT_MASK_CAP = 24
 
@@ -44,11 +41,9 @@ DEFAULT_MASK_CAP = 24
 _FREE = 8
 
 
-def _check_cap(n: int, cap: int, what: str, hint: str) -> None:
-    if cap > HARD_CAP:
-        raise ValueError(f"cap {cap} exceeds the hard enumeration ceiling {HARD_CAP}")
-    if n > cap:
-        raise CapExceeded(f"{what} at n={n} exceeds the cap {cap}; {hint}")
+def _check_cap(n: int, what: str, hint: str) -> None:
+    if n > DEFAULT_CAP:
+        raise CapExceeded(f"{what} at n={n} exceeds the cap {DEFAULT_CAP}; {hint}")
 
 
 def _blocks(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -115,13 +110,13 @@ def _census(n: int, double: bool) -> Counter[int]:
     return table
 
 
-def count_dd_exact(dd_set: Iterable[int], n: int, cap: int = DEFAULT_CAP) -> int:
+def count_dd_exact(dd_set: Iterable[int], n: int) -> int:
     """Number of w in S_n whose double-descent set is exactly ``dd_set``.
 
     Sets not contained in [2, n-1] give 0 (the count really is zero).
     """
     indices = as_index_set(dd_set)
-    _check_cap(n, cap, "brute-force double-descent count",
+    _check_cap(n, "brute-force double-descent count",
                "use ddperm.counting.dd_count")
     if any(i < 2 or i > n - 1 for i in indices):
         return 0
@@ -132,7 +127,7 @@ def count_dd_exact(dd_set: Iterable[int], n: int, cap: int = DEFAULT_CAP) -> int
 def count_descents_exact(des_set: Iterable[int], n: int) -> int:
     """Number of w in S_n whose descent set is exactly ``des_set``."""
     indices = as_index_set(des_set)
-    _check_cap(n, DEFAULT_CAP, "brute-force descent count",
+    _check_cap(n, "brute-force descent count",
                "use ddperm.rimhooks.tableau_count for the matching shape")
     if any(i < 1 or i > n - 1 for i in indices):
         return 0
@@ -144,7 +139,7 @@ def count_dd_ascent_exact(dd_set: Iterable[int], n: int) -> int:
     if n < 2:
         raise ValueError("initial-ascent counts need n >= 2")
     indices = as_index_set(dd_set)
-    _check_cap(n, DEFAULT_CAP, "brute-force initial-ascent count",
+    _check_cap(n, "brute-force initial-ascent count",
                "use ddperm.counting.dd_ascent_count")
     if any(i < 2 or i > n - 1 for i in indices):
         return 0
@@ -160,14 +155,14 @@ def count_no_dd_ascent_exact(n: int) -> int:
         if n < 0:
             raise ValueError("n must be nonnegative")
         return 1
-    _check_cap(n, DEFAULT_CAP, "brute-force count",
+    _check_cap(n, "brute-force count",
                "use ddperm.counting.no_dd_ascent_counts")
     return _census(n, True)[0]
 
 
 def dd_census(n: int) -> dict[IndexSet, int]:
     """Full table {double-descent set: count} over S_n, by enumeration."""
-    _check_cap(n, DEFAULT_CAP, "brute-force census", "reduce n")
+    _check_cap(n, "brute-force census", "reduce n")
     table = _census(n, True)
     return {tuple(i for i in range(2, n) if key >> i - 1 & 1):
             table[key] + table[key | 1] for key in sorted({k & ~1 for k in table})}
@@ -201,7 +196,7 @@ def count_rimhooks_exact(dd_set: Iterable[int], n: int) -> int:
     return count
 
 
-def count_circular_no_dd_exact(n: int, cap: int = DEFAULT_CAP) -> int:
+def count_circular_no_dd_exact(n: int) -> int:
     """Number of rotation classes of S_n with no cyclic double descents.
 
     Scans the canonical representatives w_1 = n, whose tails w_2..w_n
@@ -210,7 +205,7 @@ def count_circular_no_dd_exact(n: int, cap: int = DEFAULT_CAP) -> int:
     """
     if n < 2:
         raise ValueError("circular double descents need n >= 2")
-    _check_cap(n - 1, cap, "circular brute-force count",
+    _check_cap(n - 1, "circular brute-force count",
                "use ddperm.circular.count_no_cyclic_dd")
     total = 0
     for rows, d in _blocks(n - 1):

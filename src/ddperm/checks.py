@@ -131,7 +131,7 @@ def circular_rotation_counts():
 def conjecture_evidence():
     yield from map(_holds, map(conjectures.down_up_report, range(6, 31)))
     yield from map(_holds, map(conjectures.ratio_monotonicity_report, range(8, 31)))
-    yield _holds(conjectures.ratio_table_report(12, 9))
+    yield _holds(conjectures.ratio_table_report(12))
     spread = conjectures.ratio_series_tail_spread((2,), (4,), 30)
     yield f"6.4 tail spread {spread} < 1/100", spread < Fraction(1, 100), True
     # evidence only: these reports never claim proof

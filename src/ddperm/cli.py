@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Batch tool for researchers: every subcommand prints deterministic text
-(byte-identical for identical invocations; ``--timing`` adds one extra
-line) and exits 0 on success, 1 when a cross-check fails, 2 when a
-resource cap refuses the computation, 64 on usage errors, 73 when an
-``--out`` file cannot be written.
+(byte-identical for identical invocations) and exits 0 on success, 1
+when a cross-check fails, 2 when a resource cap refuses the
+computation, 64 on usage errors, 73 when an ``--out`` file cannot be
+written.
 
 Exact integers in JSON output are encoded as strings so downstream
 consumers cannot truncate them at 64 bits.
@@ -13,9 +13,7 @@ consumers cannot truncate them at 64 bits.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import time
 from fractions import Fraction
 
 # computing modules are imported where used: a run compiles only its own
@@ -27,8 +25,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_CAP = 2
 EXIT_USAGE = 64
 EXIT_CANTCREAT = 73
-
-BRUTE_CAP_ENV = "DDPERM_BRUTE_CAP"
 
 
 class UsageError(ValueError):
@@ -60,29 +56,13 @@ def parse_set_option(text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _brute_cap() -> int:
-    from . import bruteforce
-    raw = os.environ.get(BRUTE_CAP_ENV)
-    if raw is None:
-        return bruteforce.DEFAULT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"{BRUTE_CAP_ENV} must be an integer, got {raw!r}") from None
-    if not 0 <= cap <= bruteforce.HARD_CAP:
-        raise UsageError(
-            f"{BRUTE_CAP_ENV} must be between 0 and {bruteforce.HARD_CAP}"
-        )
-    return cap
-
-
 def _count_one(method: str, indices: tuple[int, ...], n: int) -> int:
     if method == "dp":
         from . import counting
         return counting.dd_count(indices, n)
     if method == "brute":
         from . import bruteforce
-        return bruteforce.count_dd_exact(indices, n, cap=_brute_cap())
+        return bruteforce.count_dd_exact(indices, n)
     if method == "rimhook":
         from . import rimhooks
         return rimhooks.dd_count_via_rimhooks(indices, n)
@@ -91,11 +71,10 @@ def _count_one(method: str, indices: tuple[int, ...], n: int) -> int:
 
 def cmd_count(args) -> int:
     indices = parse_set_option(args.set)
-    start = time.perf_counter()
     if args.all_methods:
-        from . import rimhooks
+        from . import bruteforce, rimhooks
         methods = ["dp"]
-        if args.n <= _brute_cap():
+        if args.n <= bruteforce.DEFAULT_CAP:
             methods.append("brute")
         if 1 <= args.n <= rimhooks.DEFAULT_LIST_CAP:
             methods.append("rimhook")
@@ -106,14 +85,10 @@ def cmd_count(args) -> int:
             print(f"dd({set_str(indices)};{args.n}) = {value}  [method: {method}]")
         agreed = len(set(results.values())) == 1
         print(f"agreement: {'OK' if agreed else 'MISMATCH'}")
-        code = EXIT_OK if agreed else EXIT_CHECK_FAILED
-    else:
-        value = _count_one(args.method, indices, args.n)
-        print(f"dd({set_str(indices)};{args.n}) = {value}  [method: {args.method}]")
-        code = EXIT_OK
-    if args.timing:
-        print(f"time: {time.perf_counter() - start:.3f}s")
-    return code
+        return EXIT_OK if agreed else EXIT_CHECK_FAILED
+    value = _count_one(args.method, indices, args.n)
+    print(f"dd({set_str(indices)};{args.n}) = {value}  [method: {args.method}]")
+    return EXIT_OK
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -235,7 +210,7 @@ def cmd_circular(args) -> int:
         value = circular.count_no_cyclic_dd(args.n)
     else:
         from . import bruteforce
-        value = bruteforce.count_circular_no_dd_exact(args.n, cap=_brute_cap())
+        value = bruteforce.count_circular_no_dd_exact(args.n)
     print(f"circular-no-dd({args.n}) = {value}  [method: {args.method}]")
     return EXIT_OK
 
@@ -300,15 +275,9 @@ def cmd_conjecture(args) -> int:
     else:
         raise UsageError(f"unknown conjecture id {args.id!r}")
     _check_printable(report)
+    _emit(conjectures.report_text(report, args.format), args.out)
     if args.out is not None:
-        conjectures.write_report(report, args.format, args.out)
         print(f"wrote {args.format} report to {args.out}")
-    else:
-        if args.format == "csv":
-            sys.stdout.write(csv_text(report.columns, report.rows))
-        else:
-            import json
-            sys.stdout.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
     print(f"verdict: {report.verdict.value}", file=sys.stderr)
     return EXIT_CHECK_FAILED if report.verdict is conjectures.Verdict.VIOLATED else EXIT_OK
 
@@ -357,7 +326,6 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=["dp", "brute", "rimhook"], default="dp")
     p.add_argument("--all-methods", action="store_true",
                    help="run every method within its cap and require agreement")
-    p.add_argument("--timing", action="store_true", help="append a timing line")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("table",

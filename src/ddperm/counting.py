@@ -82,12 +82,9 @@ from math import comb
 from operator import add
 from typing import Iterable, Iterator
 
+from . import errors
 from .errors import CapExceeded
 from .perms import as_index_set
-
-# Guard against accidental huge DP runs; the DP is O(n^2) and fine far
-# beyond this, but one count at the cap already takes about 0.5 s.
-DP_CAP = 1000
 
 
 def _suffix_sums(values: list[int]) -> list[int]:
@@ -138,15 +135,15 @@ def _insertion_count(n: int, dd_positions: frozenset[int],
 def dd_count(dd_set: Iterable[int], n: int) -> int:
     """Number of w in S_n with double-descent set exactly ``dd_set``.
 
-    Exact for any n up to ``DP_CAP``; agrees with
+    Exact for any n up to ``errors.DP_CAP``; agrees with
     :func:`ddperm.bruteforce.count_dd_exact` wherever both run.
     Sets not contained in [2, n-1] give 0.
     """
     indices = as_index_set(dd_set)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > DP_CAP:
-        raise CapExceeded(f"dd_count at n={n} exceeds the cap {DP_CAP}")
+    if n > errors.DP_CAP:
+        raise CapExceeded(f"dd_count at n={n} exceeds the cap {errors.DP_CAP}")
     if any(i < 2 or i > n - 1 for i in indices):
         return 0
     return _insertion_count(n, frozenset(indices), False)
@@ -157,8 +154,8 @@ def dd_ascent_count(dd_set: Iterable[int], n: int) -> int:
     indices = as_index_set(dd_set)
     if n < 2:
         raise ValueError("initial-ascent counts need n >= 2")
-    if n > DP_CAP:
-        raise CapExceeded(f"dd_ascent_count at n={n} exceeds the cap {DP_CAP}")
+    if n > errors.DP_CAP:
+        raise CapExceeded(f"dd_ascent_count at n={n} exceeds the cap {errors.DP_CAP}")
     if any(i < 2 or i > n - 1 for i in indices):
         return 0
     return _insertion_count(n, frozenset(indices), True)
@@ -218,8 +215,8 @@ def _column(dd_set: Iterable[int], n_max: int, initial_ascent: bool) -> list[int
     indices = as_index_set(dd_set)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if n_max > DP_CAP:
-        raise CapExceeded(f"dd column to n={n_max} exceeds the cap {DP_CAP}")
+    if n_max > errors.DP_CAP:
+        raise CapExceeded(f"dd column to n={n_max} exceeds the cap {errors.DP_CAP}")
     if not indices:
         return _empty_columns(n_max)[initial_ascent]
     if indices[0] < 2 or indices[-1] >= n_max:
@@ -285,8 +282,8 @@ def dd_singleton_row(n: int) -> dict[int, int]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > DP_CAP:
-        raise CapExceeded(f"singleton row at n={n} exceeds the cap {DP_CAP}")
+    if n > errors.DP_CAP:
+        raise CapExceeded(f"singleton row at n={n} exceeds the cap {errors.DP_CAP}")
     half = _singleton_half_row(n, *_empty_columns(n))
     # m > ceil(n/2) mirrors n + 1 - m; odd n keeps the middle entry once
     return dict(zip(range(2, n), half + half[-1 - n % 2::-1]))
@@ -296,8 +293,9 @@ def dd_singleton_row(n: int) -> dict[int, int]:
 def _no_dd_ascent(n_max: int) -> tuple[int, ...]:
     # O(n_max^2) products of growing big integers; at the cap,
     # no_dd_counts takes 16-19 s (about 1 s at n_max = 500)
-    if n_max > DP_CAP:
-        raise CapExceeded(f"convolution sequence to n={n_max} exceeds the cap {DP_CAP}")
+    if n_max > errors.DP_CAP:
+        raise CapExceeded(
+            f"convolution sequence to n={n_max} exceeds the cap {errors.DP_CAP}")
     if n_max < 1:
         return (1,)[: n_max + 1]
     values = [1, 1]
@@ -431,28 +429,22 @@ DEFAULT_RATIO_TABLE: dict[int, Fraction] = {
 }
 
 
-def dd_singleton_estimate(m: int, n: int,
-                          ratio_table: dict[int, Fraction] | None = None) -> Fraction:
+def dd_singleton_estimate(m: int, n: int) -> Fraction:
     """Estimate dd({m}; n+1) by replacing the third-case initial-ascent
-    counts with ratio-table multiples of the plain counts.
+    counts with :data:`DEFAULT_RATIO_TABLE` multiples of the plain counts.
 
     Exact rational arithmetic over the table entries, so the published
     decimals reproduce digit for digit.
     """
-    if ratio_table is None:
-        ratio_table = DEFAULT_RATIO_TABLE
     needed = [m - 1 - k for k in range(0, m - 3)]
-    missing = sorted(set(needed) - set(ratio_table))
+    missing = sorted(set(needed) - set(DEFAULT_RATIO_TABLE))
     if missing:
         raise ValueError(f"ratio table is missing entries for m = {missing}")
-    bad = {k: v for k, v in ratio_table.items() if not 0 < v <= 1}
-    if bad:
-        raise ValueError(f"ratio-table values must lie in (0, 1]: {bad}")
     first, second, free = _singleton_head(m, n)
     third = sum(
         (
             comb(n, k) * free[k] * dd_count((m - 1 - k,), n - k)
-            * ratio_table[m - 1 - k]
+            * DEFAULT_RATIO_TABLE[m - 1 - k]
             for k in range(0, m - 3)
         ),
         start=Fraction(0),

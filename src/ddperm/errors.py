@@ -1,4 +1,10 @@
-"""Shared exception types."""
+"""Shared exception types and the cap of the insertion-DP route."""
+
+# The largest length of every insertion-DP count, column, row and series
+# order; counting and series read it here at call time.  The DP is
+# O(n^2) and fine far beyond this, but one count at the cap already
+# takes about 0.5 s.
+DP_CAP = 1000
 
 
 class CapExceeded(RuntimeError):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from operator import add, mul
 
-from .counting import DP_CAP
+from . import errors
 from .errors import CapExceeded
 
 
@@ -63,10 +63,10 @@ def _c_plus_minus_s(order: int) -> tuple[list[int], list[int]]:
 def _check_order(order: int) -> None:
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if order > DP_CAP:
+    if order > errors.DP_CAP:
         raise CapExceeded(
             f"series to order {order}: {order + 1} coefficients exceeds "
-            f"the cap {DP_CAP}"
+            f"the cap {errors.DP_CAP}"
         )
 
 

@@ -94,10 +94,6 @@ def test_no_dd_ascent_equals_empty_set_ascent_count():
 def test_cap_refusals():
     with pytest.raises(CapExceeded):
         bf.count_dd_exact((2,), 12)
-    with pytest.raises(CapExceeded):
-        bf.count_dd_exact((2,), 13, cap=12)
-    with pytest.raises(ValueError):
-        bf.count_dd_exact((2,), 13, cap=13)  # override ceiling is 12
 
 
 def test_rimhook_counts():

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ddperm import checks, cli, counting, series
+from ddperm import checks, cli, counting, errors, series
 
 
 def run_cli(*args, env=None, timeout=None):
@@ -70,7 +70,7 @@ def test_singleton_table_cap_exit_code():
 @pytest.mark.parametrize("argv", [
     ("table", "--family", "b", "--to", "3000"),
     ("egf-check", "--which", "ddempty", "--order", "3000"),
-    ("egf-check", "--which", "b", "--order", str(counting.DP_CAP + 1)),
+    ("egf-check", "--which", "b", "--order", str(errors.DP_CAP + 1)),
     ("conjecture", "run", "--id", "6.1", "--n", "1000"),
     ("rimhook", "minimal", "--set", "3", "--height", "499"),
 ])
@@ -82,26 +82,6 @@ def test_sequence_cap_refuses_at_once(argv):
     assert result.stdout == ""
     assert result.stderr.startswith("ddperm: resource cap: ")
     assert len(result.stderr.splitlines()) == 1
-
-
-def test_brute_cap_env_override():
-    result = run_cli(
-        "count", "--set", "2", "--n", "6", "--method", "brute",
-        env={"DDPERM_BRUTE_CAP": "5"},
-    )
-    assert result.returncode == 2
-    result = run_cli(
-        "count", "--set", "2", "--n", "6", "--method", "brute",
-        env={"DDPERM_BRUTE_CAP": "20"},
-    )
-    assert result.returncode == 64
-
-
-def test_count_timing_line_is_extra():
-    plain = run_cli("count", "--set", "2", "--n", "6")
-    timed = run_cli("count", "--set", "2", "--n", "6", "--timing")
-    assert timed.stdout.startswith(plain.stdout)
-    assert timed.stdout.splitlines()[-1].startswith("time:")
 
 
 def test_table_b_csv():
@@ -394,9 +374,11 @@ def test_numpy_loads_only_for_sweeps(argv, code, loads_numpy):
 
 
 _IMPORT_PROBE = """
-import contextlib, io, sys
+import contextlib, importlib, io, sys
 import ddperm
-if len(sys.argv) > 1:
+if sys.argv[1:2] == ["--import"]:
+    importlib.import_module(sys.argv[2])
+elif len(sys.argv) > 1:
     from ddperm import cli
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
@@ -415,6 +397,8 @@ _COMPUTING = {"ddperm." + m for m in (
     (("count", "--set", "6", "--n", "9"), {"counting"}),
     (("table", "--family", "singleton", "--n", "12"), {"counting"}),
     (("egf-check", "--which", "b", "--order", "10"), {"counting", "series"}),
+    # series reads its cap from errors, so it loads no counting route
+    (("--import", "ddperm.series"), {"errors", "series"}),
 ])
 def test_subcommand_loads_only_its_modules(argv, computing):
     # a CLI child compiles every module it loads (no bytecode cache is
@@ -425,10 +409,11 @@ def test_subcommand_loads_only_its_modules(argv, computing):
     )
     loaded = set(result.stdout.split())
     assert result.returncode == 0, result.stderr
-    if computing is None:  # the bare package import loads no submodule
-        assert loaded == {"ddperm"}
+    expected = {"ddperm." + m for m in computing or ()}
+    if computing is None or argv[0] == "--import":  # exactly these modules
+        assert loaded == {"ddperm"} | expected
     else:
-        assert loaded & _COMPUTING == {"ddperm." + m for m in computing}
+        assert loaded & _COMPUTING == expected
 
 
 def test_set_parsing_unit():

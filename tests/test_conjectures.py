@@ -6,7 +6,7 @@ import pytest
 
 from ddperm import bruteforce as bf
 from ddperm import conjectures as cj
-from ddperm import counting
+from ddperm import counting, errors
 from ddperm.errors import CapExceeded
 from ddperm.render import decimal_str
 
@@ -28,9 +28,9 @@ def test_singleton_table_is_the_per_m_dp():
 
 def test_reports_refuse_beyond_the_dp_cap():
     with pytest.raises(CapExceeded):
-        cj.singleton_table(counting.DP_CAP + 1)
+        cj.singleton_table(errors.DP_CAP + 1)
     with pytest.raises(CapExceeded):
-        cj.ratio_series_report((2,), (4,), n_max=counting.DP_CAP + 1)
+        cj.ratio_series_report((2,), (4,), n_max=errors.DP_CAP + 1)
 
 
 def test_ratio_series_rows_are_the_per_n_dp():

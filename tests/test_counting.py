@@ -5,7 +5,7 @@ import pytest
 
 from conftest import all_index_sets
 from ddperm import bruteforce as bf
-from ddperm import counting, series
+from ddperm import cli, counting, errors, series
 from ddperm.errors import CapExceeded
 from ddperm.render import decimal_str, percent_str
 
@@ -104,10 +104,14 @@ def test_estimate_reproduces_published_digits():
     assert percent_str(relative, 2) == "0.00053%"
 
 
-def test_estimate_missing_table_entry():
-    table = {3: Fraction(1), 4: Fraction(3941, 10000)}
-    with pytest.raises(ValueError, match=r"\[5\]"):
-        counting.dd_singleton_estimate(6, 8, table)
+def test_estimate_missing_table_entry(capsys):
+    # the table stops at m = 9, and dd({11}; 13) needs the m = 10 ratio
+    with pytest.raises(ValueError, match=r"\[10\]"):
+        counting.dd_singleton_estimate(11, 12)
+    assert cli.main(["estimate", "--m", "11", "--n", "12"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ddperm: error: ratio table is missing entries for m = [10]\n"
 
 
 def test_estimate_close_for_small_m():
@@ -263,15 +267,15 @@ def test_ascent_column_grown_first_matches_flagged_dp(monkeypatch):
 
 def test_columns_and_row_caps():
     with pytest.raises(CapExceeded):
-        counting.dd_counts((2,), counting.DP_CAP + 1)
+        counting.dd_counts((2,), errors.DP_CAP + 1)
     with pytest.raises(CapExceeded):
-        counting.dd_ascent_counts((), counting.DP_CAP + 1)
+        counting.dd_ascent_counts((), errors.DP_CAP + 1)
     with pytest.raises(CapExceeded):
-        counting.dd_singleton_row(counting.DP_CAP + 1)
+        counting.dd_singleton_row(errors.DP_CAP + 1)
     with pytest.raises(ValueError):
         counting.dd_counts((), -1)
     with pytest.raises(ValueError):
         counting.dd_singleton_row(-2)
     for sequence in (counting.no_dd_counts, counting.no_dd_ascent_counts):
         with pytest.raises(CapExceeded):
-            sequence(counting.DP_CAP + 1)
+            sequence(errors.DP_CAP + 1)
