@@ -38,5 +38,6 @@ print("  verdict:", report.verdict.value)
 print()
 
 out = "ratio_series_2_vs_4.csv"
-cj.write_report(report=cj.ratio_series_report((2,), (4,), 30), fmt="csv", path=out)
+with open(out, "w", newline="") as fh:
+    fh.write(cj.report_text(cj.ratio_series_report((2,), (4,), 30), "csv"))
 print("wrote", out, "(columns n, dd_I, dd_J, ratio, note; plot n vs ratio)")

@@ -146,20 +146,6 @@ def count_dd_ascent_exact(dd_set: Iterable[int], n: int) -> int:
     return _census(n, True)[_mask_of(indices)]
 
 
-def count_no_dd_ascent_exact(n: int) -> int:
-    """Number of w in S_n with no double descents and no initial descent.
-
-    By convention the n = 0 and n = 1 counts are 1.
-    """
-    if n <= 1:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        return 1
-    _check_cap(n, "brute-force count",
-               "use ddperm.counting.no_dd_ascent_counts")
-    return _census(n, True)[0]
-
-
 def dd_census(n: int) -> dict[IndexSet, int]:
     """Full table {double-descent set: count} over S_n, by enumeration."""
     _check_cap(n, "brute-force census", "reduce n")

@@ -54,7 +54,7 @@ def known_values():
         yield f"dp {name}", counting.dd_count(indices, n), want
         yield f"brute {name}", bruteforce.count_dd_exact(indices, n), want
     yield "dp b(4)", counting.dd_ascent_count((), 4), 9
-    yield "brute b(4)", bruteforce.count_no_dd_ascent_exact(4), 9
+    yield "brute b(4)", bruteforce.count_dd_ascent_exact((), 4), 9
 
 
 def estimator_digits():
@@ -132,10 +132,12 @@ def conjecture_evidence():
     yield from map(_holds, map(conjectures.down_up_report, range(6, 31)))
     yield from map(_holds, map(conjectures.ratio_monotonicity_report, range(8, 31)))
     yield _holds(conjectures.ratio_table_report(12))
-    spread = conjectures.ratio_series_tail_spread((2,), (4,), 30)
+    report = conjectures.ratio_series_report((2,), (4,), 30)
+    tail = [Fraction(num, den) for _, num, den, _, _ in report.rows[-5:]]
+    spread = max(tail) - min(tail)
     yield f"6.4 tail spread {spread} < 1/100", spread < Fraction(1, 100), True
     # evidence only: these reports never claim proof
-    yield _holds(conjectures.ratio_series_report((2,), (4,), 30), "INCONCLUSIVE")
+    yield _holds(report, "INCONCLUSIVE")
 
 
 def cross_method_equivalence():

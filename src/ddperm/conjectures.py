@@ -5,11 +5,16 @@ concrete witness or support it over the computed range, never prove it.
 The three-valued verdict is part of the report type so downstream
 tooling cannot upgrade evidence into proof.  All comparisons are exact
 (integer cross-multiplication, Fractions).  Count cells hold exact
-ints, turned into text only where a report is written; decimals in the
+ints, turned into text only by :func:`report_text`; decimals in the
 rows are renderings only, each by one integer division of the row's own
 numerator and denominator.  Fractions are built only where a verdict or
-a tail summary compares values across rows.  The 6.1 sweep sums one
-singleton row per length and is capped at ``EQUIDIST_CAP``.
+a tail summary compares values across rows.
+
+The reports come in three shapes: the 6.1 sweep, which sums one
+singleton row per length and is capped at ``EQUIDIST_CAP``; the 6.2/6.3
+alternations, both built by :func:`_alternation_report` from exact
+``(i, left, right)`` pairs read off one singleton row; and the 6.4/6.5
+ratio series, whose tail summary reads the report's own count cells.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from math import gcd
 from typing import Iterable
 
 from . import counting
-from .perms import IndexSet, as_index_set
+from .perms import as_index_set
 from .errors import CapExceeded
 from .render import csv_text, decimal_str, ratio_str
 
@@ -70,25 +75,6 @@ class ConjectureReport:
         }
 
 
-def validate_report_dict(data: dict) -> None:
-    """Schema check for the JSON form of a report; raises ValueError."""
-    required = {"conjecture", "n_range", "columns", "rows", "verdict",
-                "witness", "notes"}
-    missing = required - set(data)
-    if missing:
-        raise ValueError(f"report JSON is missing keys: {sorted(missing)}")
-    if data["verdict"] not in {v.value for v in Verdict}:
-        raise ValueError(f"unknown verdict: {data['verdict']!r}")
-    if len(data["n_range"]) != 2:
-        raise ValueError("n_range must be a pair")
-    width = len(data["columns"])
-    for row in data["rows"]:
-        if len(row) != width:
-            raise ValueError("row width does not match columns")
-        if not all(isinstance(c, str) for c in row):
-            raise ValueError("JSON rows must contain strings only")
-
-
 def report_text(report: ConjectureReport, fmt: str) -> str:
     """A report as csv or json text; identical inputs give identical
     text."""
@@ -98,13 +84,6 @@ def report_text(report: ConjectureReport, fmt: str) -> str:
         import json
         return json.dumps(report.to_json_dict(), indent=2) + "\n"
     raise ValueError(f"unknown report format: {fmt!r}")
-
-
-def write_report(report: ConjectureReport, fmt: str, path) -> None:
-    """Write :func:`report_text` to ``path``."""
-    text = report_text(report, fmt)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
 
 
 def singleton_table(n: int) -> dict[int, int]:
@@ -186,6 +165,33 @@ def equidistribution_report(n: int, alpha: Fraction, beta: Fraction,
     )
 
 
+def _alternation_report(conjecture_id: str, n: int,
+                        cases: Iterable[tuple[int, int, int]],
+                        columns: tuple[str, str],
+                        notes: tuple[str, ...] = ()) -> ConjectureReport:
+    """A report on exact ``(i, left, right)`` pairs that should alternate:
+    left > right at even i and left < right at odd i.  ``columns`` names
+    the left and right cells; the first failing i is the witness."""
+    rows = []
+    witness = None
+    for i, left, right in cases:
+        expected = ">" if i % 2 == 0 else "<"
+        ok = left > right if expected == ">" else left < right
+        rows.append((n, i, left, right, expected, "pass" if ok else "FAIL"))
+        if not ok and witness is None:
+            witness = {"n": n, "i": i, "left": left, "right": right,
+                       "expected": expected}
+    return ConjectureReport(
+        conjecture_id=conjecture_id,
+        n_range=(n, n),
+        columns=("n", "i", *columns, "expected", "status"),
+        rows=tuple(rows),
+        verdict=Verdict.VIOLATED if witness else Verdict.HOLDS_IN_RANGE,
+        witness=witness,
+        notes=notes,
+    )
+
+
 def down_up_report(n: int) -> ConjectureReport:
     """Alternation evidence (report id 6.2): for 2 <= i < ceil(n/2),
     the singleton counts alternate, dd({i}) > dd({i+1}) at even i and
@@ -193,87 +199,23 @@ def down_up_report(n: int) -> ConjectureReport:
     if n < 6:
         raise ValueError("the alternation needs n >= 6")
     table = singleton_table(n)
-    half = -(-n // 2)
-    rows = []
-    witness = None
-    for i in range(2, half):
-        left, right = table[i], table[i + 1]
-        expected = ">" if i % 2 == 0 else "<"
-        ok = left > right if expected == ">" else left < right
-        rows.append((n, i, left, right, expected, "pass" if ok else "FAIL"))
-        if not ok and witness is None:
-            witness = {"n": n, "i": i, "left": left, "right": right,
-                       "expected": expected}
-    verdict = Verdict.VIOLATED if witness else Verdict.HOLDS_IN_RANGE
-    return ConjectureReport(
-        conjecture_id="6.2",
-        n_range=(n, n),
-        columns=("n", "i", "dd_i", "dd_i_plus_1", "expected", "status"),
-        rows=tuple(rows),
-        verdict=verdict,
-        witness=witness,
-    )
+    cases = ((i, table[i], table[i + 1]) for i in range(2, -(-n // 2)))
+    return _alternation_report("6.2", n, cases, ("dd_i", "dd_i_plus_1"))
 
 
 def ratio_monotonicity_report(n: int) -> ConjectureReport:
     """Ratio-monotonicity evidence (report id 6.3): successive ratios
     dd({i})/dd({i+1}) decrease along even i and increase along odd i,
-    for i < ceil(n/2) - 1.  Compared by exact cross-multiplication."""
+    for i < ceil(n/2) - 1.  Compared by exact cross-multiplication;
+    every singleton count in the row is positive (n >= 3)."""
     if n < 8:
         raise ValueError("the ratio comparisons need n >= 8")
     table = singleton_table(n)
-    half = -(-n // 2)
-    rows = []
-    witness = None
-    for i in range(2, half - 1):
-        a, b, c, d = table[i], table[i + 1], table[i + 2], table[i + 3]
-        if b == 0 or d == 0:
-            rows.append((n, i, "", "", "", "skipped: zero denominator"))
-            continue
-        lhs = a * d
-        rhs = c * b
-        expected = ">" if i % 2 == 0 else "<"
-        ok = lhs > rhs if expected == ">" else lhs < rhs
-        rows.append((n, i, lhs, rhs, expected, "pass" if ok else "FAIL"))
-        if not ok and witness is None:
-            witness = {"n": n, "i": i, "left": lhs, "right": rhs,
-                       "expected": expected}
-    verdict = Verdict.VIOLATED if witness else Verdict.HOLDS_IN_RANGE
-    return ConjectureReport(
-        conjecture_id="6.3",
-        n_range=(n, n),
-        columns=("n", "i", "cross_left", "cross_right", "expected", "status"),
-        rows=tuple(rows),
-        verdict=verdict,
-        witness=witness,
-        notes=("cross_left = dd_i * dd_{i+3}, cross_right = dd_{i+2} * dd_{i+1}",),
-    )
-
-
-def _ratio_rows(set_i: IndexSet, set_j: IndexSet, n_max: int):
-    """(start, rows, ratios) shared by the ratio-series report and the
-    tail-spread helper, ``ratios`` holding only the last six computed
-    ratios (all the tail summary reads); raises when either set is never
-    realizable."""
-    nums = counting.dd_counts(set_i, n_max)
-    dens = counting.dd_counts(set_j, n_max)
-    for name, indices, counts in (("J", set_j, dens), ("I", set_i, nums)):
-        if not any(counts):
-            raise ValueError(
-                f"dd({name};n) = 0 for all computed n "
-                f"({name}={set(indices) or '{}'}, n <= {n_max})"
-            )
-    start = max(next(n for n, v in enumerate(c) if v) for c in (nums, dens))
-    rows = []
-    pairs: list[tuple[int, int]] = []
-    for n in range(start, n_max + 1):
-        num, den = nums[n], dens[n]
-        if den == 0:
-            rows.append((n, num, den, "", "skipped: denominator 0"))
-            continue
-        pairs.append((num, den))
-        rows.append((n, num, den, ratio_str(num, den, PLACES), ""))
-    return start, rows, [Fraction(num, den) for num, den in pairs[-6:]]
+    cases = ((i, table[i] * table[i + 3], table[i + 2] * table[i + 1])
+             for i in range(2, -(-n // 2) - 1))
+    return _alternation_report(
+        "6.3", n, cases, ("cross_left", "cross_right"),
+        ("cross_left = dd_i * dd_{i+3}, cross_right = dd_{i+2} * dd_{i+1}",))
 
 
 def ratio_series_report(set_i: Iterable[int], set_j: Iterable[int],
@@ -283,22 +225,36 @@ def ratio_series_report(set_i: Iterable[int], set_j: Iterable[int],
 
     Reports exact fractions from the first n where both counts are
     positive, with a tail summary (sign pattern of the successive
-    differences and the spread of the last five values).  The verdict
-    is INCONCLUSIVE by design: a limit cannot be established by finite
-    evidence, only the shrinking spread can.
+    differences and the spread of the last five values).  Both counts
+    stay positive from there on: appending n+1 to a permutation keeps
+    its double-descent set.  Raises ``ValueError`` when either set is
+    never realizable up to ``n_max``.  The verdict is INCONCLUSIVE by
+    design: a limit cannot be established by finite evidence, only the
+    shrinking spread can.
     """
     top = as_index_set(set_i)
     bottom = as_index_set(set_j)
-    start, rows, ratios = _ratio_rows(top, bottom, n_max)
+    nums = counting.dd_counts(top, n_max)
+    dens = counting.dd_counts(bottom, n_max)
+    for name, indices, counts in (("J", bottom, dens), ("I", top, nums)):
+        if not any(counts):
+            raise ValueError(
+                f"dd({name};n) = 0 for all computed n "
+                f"({name}={set(indices) or '{}'}, n <= {n_max})"
+            )
+    start = max(next(n for n, v in enumerate(c) if v) for c in (nums, dens))
+    rows = tuple((n, nums[n], dens[n], ratio_str(nums[n], dens[n], PLACES), "")
+                 for n in range(start, n_max + 1))
+    ratios = [Fraction(num, den) for _, num, den, _, _ in rows[-6:]]
     tail = ratios[-5:]
-    spread = max(tail) - min(tail) if tail else Fraction(0)
+    spread = max(tail) - min(tail)
     diffs = [b - a for a, b in zip(ratios, ratios[1:])]
     signs = "".join("+" if d > 0 else "-" if d < 0 else "=" for d in diffs[-5:])
     return ConjectureReport(
         conjecture_id=conjecture_id,
         n_range=(start, n_max),
         columns=("n", "dd_I", "dd_J", "ratio", "note"),
-        rows=tuple(rows),
+        rows=rows,
         verdict=Verdict.INCONCLUSIVE,
         notes=(
             f"tail sign pattern of successive differences: {signs or 'n/a'}",
@@ -306,17 +262,6 @@ def ratio_series_report(set_i: Iterable[int], set_j: Iterable[int],
             "INCONCLUSIVE by design: finite data cannot establish a limit",
         ),
     )
-
-
-def ratio_series_tail_spread(set_i: Iterable[int], set_j: Iterable[int],
-                             n_max: int = DEFAULT_SWEEP_MAX) -> Fraction:
-    """Exact max-minus-min of dd(I;n)/dd(J;n) over the last five
-    computed n; the quantity quoted in the report notes."""
-    _, _, ratios = _ratio_rows(as_index_set(set_i), as_index_set(set_j), n_max)
-    tail = ratios[-5:]
-    if not tail:
-        raise ValueError("no computable ratios in range")
-    return max(tail) - min(tail)
 
 
 def ratio_table_report(n_max: int = 12) -> ConjectureReport:

@@ -74,7 +74,6 @@ limiting-ratio multiples.
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -353,13 +352,6 @@ def _singleton_head(m: int, n: int) -> tuple[int, int, list[int]]:
         raise ValueError(f"singleton position must be >= 2, got m={m}")
     if n < m:
         raise ValueError(f"need n >= m so that position m={m} exists in S_{n + 1}")
-    if m < 4:
-        warnings.warn(
-            f"m={m} relies on length-0/1 conventions outside the stated "
-            "range of the recursion; the result is cross-checked against "
-            "the insertion count",
-            stacklevel=3,
-        )
     blocks = dd_ascent_counts((), n)
     free = dd_counts((), n)
     column = dd_counts((m,), n)
@@ -388,8 +380,8 @@ def dd_singleton_parts(m: int, n: int) -> tuple[int, int, int]:
       the double descent, now at m-1-k.
 
     The third case reads the initial-ascent counts off the exact DP.
-    m in {2, 3} relies on the length-0/1 conventions and is
-    cross-checked against the DP.
+    m in {2, 3} relies on the length-0/1 conventions, which hold exactly;
+    :func:`dd_singleton_recursion` cross-checks them against the DP.
     """
     first, second, free = _singleton_head(m, n)
     third = sum(

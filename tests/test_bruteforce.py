@@ -37,10 +37,8 @@ def test_initial_ascent_counts():
 
 
 def test_no_dd_ascent_counts():
-    assert bf.count_no_dd_ascent_exact(0) == 1
-    assert bf.count_no_dd_ascent_exact(1) == 1
-    assert bf.count_no_dd_ascent_exact(4) == 9
-    assert bf.count_no_dd_ascent_exact(5) == 39
+    assert bf.count_dd_ascent_exact((), 4) == 9
+    assert bf.count_dd_ascent_exact((), 5) == 39
 
 
 def test_census_matches_reference_scan():
@@ -87,8 +85,16 @@ def test_ascent_split():
 
 
 def test_no_dd_ascent_equals_empty_set_ascent_count():
+    # against an independent scan of S_n for an initial ascent and no
+    # double descent
+    import itertools
+
     for n in range(2, 9):
-        assert bf.count_no_dd_ascent_exact(n) == bf.count_dd_ascent_exact((), n)
+        scan = sum(
+            w[0] < w[1] and not any(w[i - 2] > w[i - 1] > w[i] for i in range(2, n))
+            for w in itertools.permutations(range(1, n + 1))
+        )
+        assert bf.count_dd_ascent_exact((), n) == scan
 
 
 def test_cap_refusals():

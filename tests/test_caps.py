@@ -29,7 +29,6 @@ from ddperm.errors import CapExceeded
         lambda n: bf.count_dd_exact((), n),
         lambda n: bf.count_descents_exact((), n),
         lambda n: bf.count_dd_ascent_exact((), n),
-        bf.count_no_dd_ascent_exact,
         bf.dd_census,
         # the circular scan runs over S_(n-1)
         lambda n: bf.count_circular_no_dd_exact(n + 1),

@@ -210,6 +210,14 @@ def test_estimate_output():
     )
 
 
+@pytest.mark.parametrize("m", ["2", "3"])
+def test_estimate_small_m_is_silent(m):
+    # the m in {2, 3} conventions hold exactly, so nothing is warned
+    result = run_cli("estimate", "--m", m, "--n", "6")
+    assert result.returncode == 0
+    assert result.stderr == ""
+
+
 def test_conjecture_run_csv(tmp_path):
     out = tmp_path / "report.csv"
     result = run_cli(

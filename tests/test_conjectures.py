@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import all_index_sets
 from ddperm import bruteforce as bf
 from ddperm import conjectures as cj
-from ddperm import counting, errors
+from ddperm import cli, counting, errors
 from ddperm.errors import CapExceeded
 from ddperm.render import decimal_str
 
@@ -214,10 +215,65 @@ def test_ratio_series_never_realizable():
         cj.ratio_series_report((2,), (9,), 8)
 
 
+def _tail_spread(report):
+    tail = [Fraction(num, den) for _, num, den, _, _ in report.rows[-5:]]
+    return max(tail) - min(tail)
+
+
 def test_ratio_series_tail_spread_shrinks():
-    late = cj.ratio_series_tail_spread((2,), (4,), 24)
-    early = cj.ratio_series_tail_spread((2,), (4,), 12)
-    assert late < early
+    late = cj.ratio_series_report((2,), (4,), 24)
+    early = cj.ratio_series_report((2,), (4,), 12)
+    assert _tail_spread(late) < _tail_spread(early)
+    # the note quotes the spread of the report's own last five rows
+    assert late.notes[1] == ("max spread over last 5 rows: "
+                             + decimal_str(_tail_spread(late), cj.PLACES))
+
+
+def test_counts_stay_positive_once_realizable():
+    # appending n+1 keeps the double-descent set, so no 6.5 row meets a
+    # zero denominator and no 6.3 cross product a zero count
+    for indices in all_index_sets(2, 12):
+        if len(indices) > 3:
+            continue
+        counts = counting.dd_counts(indices, 60)
+        first = next((n for n, v in enumerate(counts) if v), None)
+        if first is not None:  # realizable
+            assert all(counts[first:]), indices
+    for n in range(3, 61):
+        assert all(cj.singleton_table(n).values()), n
+
+
+def _break_singleton_table(monkeypatch, n, patch):
+    """Serve the singleton row of length n with the entries of ``patch``
+    replaced; returns the patched row."""
+    table = {**cj.singleton_table(n), **patch}
+    monkeypatch.setattr(cj, "singleton_table", lambda _: table)
+    return table
+
+
+@pytest.mark.parametrize("conjecture_id", ["6.2", "6.3"])
+def test_alternation_violation_names_the_first_failing_row(
+        monkeypatch, capsys, conjecture_id):
+    t = cj.singleton_table(12)
+    if conjecture_id == "6.2":
+        # dd({5}) = dd({6}) breaks the odd-i rise at i = 5 only
+        t = _break_singleton_table(monkeypatch, 12, {5: t[6]})
+        report = cj.down_up_report(12)
+        i, left, right, expected = 5, t[5], t[6], "<"
+    else:
+        # a small dd({7}) breaks the even-i cross products at i = 4 only
+        t = _break_singleton_table(monkeypatch, 12, {7: t[5] * t[6] // t[4]})
+        report = cj.ratio_monotonicity_report(12)
+        i, left, right, expected = 4, t[4] * t[7], t[6] * t[5], ">"
+    assert report.verdict is cj.Verdict.VIOLATED
+    assert report.witness == {"n": 12, "i": i, "left": left, "right": right,
+                              "expected": expected}
+    assert [row[1] for row in report.rows if row[-1] == "FAIL"] == [i]
+    assert report.rows[i - 2] == (12, i, left, right, expected, "FAIL")
+    assert cli.main(["conjecture", "run", "--id", conjecture_id, "--n", "12"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "verdict: VIOLATED\n"
+    assert out == cj.report_text(report, "csv")
 
 
 def test_ratio_table_report():
@@ -250,38 +306,30 @@ def test_report_cells_hold_exact_ints():
     assert kinds == {(True, int), (True, str), (False, int), (False, str)}
 
 
-def test_report_serialization_roundtrip(tmp_path):
+def test_report_serialization_roundtrip():
     report = cj.down_up_report(10)
-    csv_path = tmp_path / "report.csv"
-    json_path = tmp_path / "report.json"
-    cj.write_report(report, "csv", csv_path)
-    cj.write_report(report, "json", json_path)
+    csv_lines = cj.report_text(report, "csv").splitlines()
+    assert csv_lines[0] == ",".join(report.columns)
+    assert len(csv_lines) == len(report.rows) + 1
 
-    csv_text = csv_path.read_text()
-    assert csv_text.splitlines()[0] == ",".join(report.columns)
-    assert len(csv_text.splitlines()) == len(report.rows) + 1
-
-    data = json.loads(json_path.read_text())
-    cj.validate_report_dict(data)
+    data = json.loads(cj.report_text(report, "json"))
+    assert list(data) == ["conjecture", "n_range", "columns", "rows",
+                          "verdict", "witness", "notes"]
+    assert data["n_range"] == [10, 10]
+    assert data["columns"] == list(report.columns)
+    assert all(len(row) == len(report.columns) for row in data["rows"])
+    assert all(type(cell) is str for row in data["rows"] for cell in row)
     assert data["verdict"] == "HOLDS-IN-RANGE"
     assert data["rows"][0][0] == "10"
 
     with pytest.raises(ValueError):
-        cj.validate_report_dict({"conjecture": "x"})
-    with pytest.raises(ValueError):
-        cj.write_report(report, "xml", tmp_path / "report.xml")
+        cj.report_text(report, "xml")
 
 
-def test_report_bytes_are_deterministic(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    cj.write_report(cj.ratio_series_report((2,), (4,), 14), "csv", a)
-    cj.write_report(cj.ratio_series_report((2,), (4,), 14), "csv", b)
-    assert a.read_bytes() == b.read_bytes()
-    ja = tmp_path / "a.json"
-    jb = tmp_path / "b.json"
-    cj.write_report(cj.equidistribution_report(12, Fraction(1, 4), Fraction(3, 4)),
-                    "json", ja)
-    cj.write_report(cj.equidistribution_report(12, Fraction(1, 4), Fraction(3, 4)),
-                    "json", jb)
-    assert ja.read_bytes() == jb.read_bytes()
+def test_report_bytes_are_deterministic():
+    a, b = (cj.report_text(cj.ratio_series_report((2,), (4,), 14), "csv").encode()
+            for _ in range(2))
+    assert a == b
+    ja, jb = (cj.report_text(cj.equidistribution_report(
+        12, Fraction(1, 4), Fraction(3, 4)), "json").encode() for _ in range(2))
+    assert ja == jb
