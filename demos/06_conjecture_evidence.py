@@ -40,4 +40,4 @@ print()
 out = "ratio_series_2_vs_4.csv"
 with open(out, "w", newline="") as fh:
     fh.write(cj.report_text(cj.ratio_series_report((2,), (4,), 30), "csv"))
-print("wrote", out, "(columns n, dd_I, dd_J, ratio, note; plot n vs ratio)")
+print("wrote", out, "(columns n, dd_I, dd_J, ratio; plot n vs ratio)")

@@ -133,7 +133,7 @@ def conjecture_evidence():
     yield from map(_holds, map(conjectures.ratio_monotonicity_report, range(8, 31)))
     yield _holds(conjectures.ratio_table_report(12))
     report = conjectures.ratio_series_report((2,), (4,), 30)
-    tail = [Fraction(num, den) for _, num, den, _, _ in report.rows[-5:]]
+    tail = [Fraction(num, den) for _, num, den, _ in report.rows[-5:]]
     spread = max(tail) - min(tail)
     yield f"6.4 tail spread {spread} < 1/100", spread < Fraction(1, 100), True
     # evidence only: these reports never claim proof

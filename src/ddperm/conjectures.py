@@ -129,12 +129,13 @@ def equidistribution_report(n: int, alpha: Fraction, beta: Fraction,
     pairs: list[tuple[int, int]] = []  # inside/share as (num, den)
     for m in range(n_min, n + 1):
         lo, hi = _window_bounds(alpha, beta, m)
-        row = counting.dd_singleton_row(m)
-        total = sum(row.values())
+        # values[i - 2] = dd({i}; m)
+        values = counting.dd_singleton_values(m)
+        total = sum(values)
         if lo > hi or total == 0:
             rows.append((m, "", "", "", "", "empty"))
             continue
-        inside = sum(row[i] for i in range(lo, hi + 1))
+        inside = sum(values[lo - 2:hi - 1])
         # share = width * total in lowest terms; width is already reduced
         g = gcd(total, width.denominator)
         share_num = width.numerator * total // g
@@ -243,9 +244,9 @@ def ratio_series_report(set_i: Iterable[int], set_j: Iterable[int],
                 f"({name}={set(indices) or '{}'}, n <= {n_max})"
             )
     start = max(next(n for n, v in enumerate(c) if v) for c in (nums, dens))
-    rows = tuple((n, nums[n], dens[n], ratio_str(nums[n], dens[n], PLACES), "")
+    rows = tuple((n, nums[n], dens[n], ratio_str(nums[n], dens[n], PLACES))
                  for n in range(start, n_max + 1))
-    ratios = [Fraction(num, den) for _, num, den, _, _ in rows[-6:]]
+    ratios = [Fraction(num, den) for _, num, den, _ in rows[-6:]]
     tail = ratios[-5:]
     spread = max(tail) - min(tail)
     diffs = [b - a for a, b in zip(ratios, ratios[1:])]
@@ -253,7 +254,7 @@ def ratio_series_report(set_i: Iterable[int], set_j: Iterable[int],
     return ConjectureReport(
         conjecture_id=conjecture_id,
         n_range=(start, n_max),
-        columns=("n", "dd_I", "dd_J", "ratio", "note"),
+        columns=("n", "dd_I", "dd_J", "ratio"),
         rows=rows,
         verdict=Verdict.INCONCLUSIVE,
         notes=(

@@ -61,10 +61,13 @@ also subtracts the runs [1, e] with the same weights: w_1 > w_2 merges
 entry 1 into the run.  The coefficients take O(M^2) big-integer
 additions: every left factor from one prefix pass of the insertion DP,
 c(M) for every b from one backward sweep of the 2x2 steps of c, and the
-binomial sums in alpha_I by Pascal's rule.  Each entry then takes O(M)
-products, so a column costs O(M^2) additions and O((n - M) M) products:
-far below the O(n^2) additions of a DP pass while M is small, but above
-them once M is a sizable share of n.
+binomial sums in alpha_I by Pascal's rule.  The column then takes one
+pass per term t = 0..M over every n > M at once, carrying C(n, t) from
+t - 1 by the hockey stick C(n, t) = C(M+1, t) + sum_(M<m<n) C(m, t-1)
+(one running sum); only nonzero coefficients add products.  So a column
+costs O((n - M) M) additions and products: far below the O(n^2)
+additions of a DP pass while M is small, but above them once M is a
+sizable share of n.
 
 Also here: the convolution recursions for the no-double-descent
 sequences, the singleton-set recursion that rebuilds dd({m}; n+1) from
@@ -78,7 +81,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator
 
 from . import errors
@@ -222,23 +225,26 @@ def _column(dd_set: Iterable[int], n_max: int, initial_ascent: bool) -> list[int
         # a double descent at 1, or at max(I) >= n_max, fits no length
         return [0] * (n_max + 1)
     top = indices[-1]
-    counts = [0] * (top + 1)
     free, ascent = _empty_columns(n_max)
-    terms = [(t, x, y) for t, (x, y) in
-             enumerate(zip(*_set_coefficients(indices, initial_ascent))) if x or y]
-    binomials = [comb(top, t) for t in range(top + 1)]
-    for n in range(top + 1, n_max + 1):
-        # C(n, t) for t <= max I by Pascal's rule from the row of n - 1
-        binomials = [1, *map(add, binomials[1:], binomials)]
-        counts.append(sum(binomials[t] * (x * free[n - t] + y * ascent[n - t])
-                          for t, x, y in terms))
-    return counts
+    # one pass per term t over every n = max I + 1 + k at once: totals[k]
+    # sums the terms so far, binomials[k] = C(n, t) comes from t - 1 by
+    # the hockey stick of the module docstring, starting from C(m, -1) = 0
+    binomials = totals = [0] * (n_max - top)
+    for t, (x, y) in enumerate(zip(*_set_coefficients(indices, initial_ascent))):
+        binomials = list(accumulate(binomials[:-1], initial=comb(top + 1, t)))
+        # zero coefficients, a third or more of each list, add no products
+        for coefficient, column in (x, free), (y, ascent):
+            if coefficient:
+                terms = map(coefficient.__mul__, column[top + 1 - t:n_max + 1 - t])
+                totals = list(map(add, totals, map(mul, binomials, terms)))
+    return [0] * (top + 1) + totals
 
 
 def dd_counts(dd_set: Iterable[int], n_max: int) -> list[int]:
     """[dd(I; n) for n in 0..n_max] by the closed form of the module
-    docstring: once the empty-set columns are built, O(max(I)^2)
-    additions and O((n_max - max(I)) max(I)) products.
+    docstring: once the empty-set columns are built, O(max(I)^2 +
+    (n_max - max(I)) max(I)) additions and O((n_max - max(I)) max(I))
+    products.
 
     Entries with n <= max(I) are 0; each entry equals :func:`dd_count`.
     """
@@ -261,23 +267,24 @@ def _singleton_half_row(n: int, free: list[int], ascent: list[int]) -> list[int]
     residues t = s and t = s + 1 (s - t = 0 and 2 mod 3).
     """
     u, v, binomial = [0, 0, 0], [0, 0, 0], 1
+    # the last term -e_1(s) F(n) - e_2(s) a(n), by s mod 3
+    last = (0, free[n], ascent[n])
     row = []
     for s in range(1, -(-n // 2)):
         binomial = binomial * (n - s + 1) // s
         u[s % 3] += binomial * ascent[s] * free[n - s]
         v[s % 3] += binomial * free[s] * ascent[n - s]
-        row.append(u[s % 3] - v[(s + 1) % 3]
-                   - (s % 3 == 1) * free[n] - (s % 3 == 2) * ascent[n])
+        row.append(u[s % 3] - v[(s + 1) % 3] - last[s % 3])
     return row
 
 
-def dd_singleton_row(n: int) -> dict[int, int]:
-    """{m: dd({m}; n)} for m = 2..n-1 in O(n) big-integer products.
+def dd_singleton_values(n: int) -> list[int]:
+    """[dd({m}; n) for m = 2..n-1] in O(n) big-integer products.
 
     The lower half comes from :func:`_singleton_half_row` over the
     empty-set columns (O(n^2) additions once per process), the upper
     half from the reverse-complement symmetry dd({m}; n) =
-    dd({n+1-m}; n).  Each call returns a fresh dict.
+    dd({n+1-m}; n).  Each call returns a fresh list.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -285,7 +292,14 @@ def dd_singleton_row(n: int) -> dict[int, int]:
         raise CapExceeded(f"singleton row at n={n} exceeds the cap {errors.DP_CAP}")
     half = _singleton_half_row(n, *_empty_columns(n))
     # m > ceil(n/2) mirrors n + 1 - m; odd n keeps the middle entry once
-    return dict(zip(range(2, n), half + half[-1 - n % 2::-1]))
+    return half + half[-1 - n % 2::-1]
+
+
+def dd_singleton_row(n: int) -> dict[int, int]:
+    """{m: dd({m}; n)} for m = 2..n-1, the entries of
+    :func:`dd_singleton_values` keyed by position.  Each call returns a
+    fresh dict."""
+    return dict(zip(range(2, n), dd_singleton_values(n)))
 
 
 @lru_cache(maxsize=None)

@@ -17,6 +17,7 @@ from ddperm.errors import CapExceeded
         lambda n: counting.dd_counts((2,), n),
         lambda n: counting.dd_ascent_counts((), n),
         counting.dd_singleton_row,
+        counting.dd_singleton_values,
         series.egf_no_dd,
         series.egf_no_dd_ascent,
     )),

@@ -36,7 +36,8 @@ def test_reports_refuse_beyond_the_dp_cap():
 
 def test_ratio_series_rows_are_the_per_n_dp():
     report = cj.ratio_series_report((3, 7), (5, 9, 10), 40)
-    for n, num, den, _, _ in report.rows:
+    assert report.columns == ("n", "dd_I", "dd_J", "ratio")
+    for n, num, den, _ in report.rows:
         assert int(num) == counting.dd_count((3, 7), n)
         assert int(den) == counting.dd_count((5, 9, 10), n)
 
@@ -216,7 +217,7 @@ def test_ratio_series_never_realizable():
 
 
 def _tail_spread(report):
-    tail = [Fraction(num, den) for _, num, den, _, _ in report.rows[-5:]]
+    tail = [Fraction(num, den) for _, num, den, _ in report.rows[-5:]]
     return max(tail) - min(tail)
 
 

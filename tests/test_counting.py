@@ -144,6 +144,11 @@ def test_singleton_row_matches_per_m_dp():
         }, n
 
 
+def test_singleton_values_are_the_row_in_order():
+    for n in [*range(0, 61), 300]:
+        assert counting.dd_singleton_values(n) == list(counting.dd_singleton_row(n).values()), n
+
+
 def test_singleton_rows_in_mixed_order(monkeypatch):
     # start from fresh empty-set columns, so the rows below grow them,
     # read a prefix of them, grow them again and read a prefix again
@@ -222,6 +227,17 @@ def test_set_columns_on_random_sets_at_n_120():
         for n in (top + 1, top + 2, 120):
             assert plain[n] == counting.dd_count(indices, n), (indices, n)
             assert ascent[n] == counting.dd_ascent_count(indices, n), (indices, n)
+
+
+@pytest.mark.parametrize("indices", [(2,), (12,), (2, 4), (3, 7, 40), (4, 8, 12, 16, 20)])
+def test_shortest_carried_columns_match_per_n_dp(indices):
+    # one to three lengths past max(I): the binomial vectors carried over
+    # t start from C(max I + 1, t), so an off-by-one there shows here
+    for n_max in range(indices[-1] + 1, indices[-1] + 4):
+        assert counting.dd_counts(indices, n_max)[2:] == [
+            counting.dd_count(indices, n) for n in range(2, n_max + 1)], n_max
+        assert counting.dd_ascent_counts(indices, n_max)[2:] == [
+            counting.dd_ascent_count(indices, n) for n in range(2, n_max + 1)], n_max
 
 
 @pytest.mark.parametrize("indices", [(2,), (5,), (3, 7), (1,), (1, 4), (2000,)])
