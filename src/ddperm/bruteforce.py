@@ -42,6 +42,8 @@ _FREE = 8
 
 
 def _check_cap(n: int, what: str, hint: str) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n > DEFAULT_CAP:
         raise CapExceeded(f"{what} at n={n} exceeds the cap {DEFAULT_CAP}; {hint}")
 

@@ -27,8 +27,8 @@ EXIT_USAGE = 64
 EXIT_CANTCREAT = 73
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(argparse.ArgumentTypeError):
+    """Bad input; argparse prints the message of one raised by a ``type``."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,14 +63,12 @@ def _count_one(method: str, indices: tuple[int, ...], n: int) -> int:
     if method == "brute":
         from . import bruteforce
         return bruteforce.count_dd_exact(indices, n)
-    if method == "rimhook":
-        from . import rimhooks
-        return rimhooks.dd_count_via_rimhooks(indices, n)
-    raise UsageError(f"unknown method {method!r}")
+    from . import rimhooks  # method "rimhook"
+    return rimhooks.dd_count_via_rimhooks(indices, n)
 
 
 def cmd_count(args) -> int:
-    indices = parse_set_option(args.set)
+    indices = args.set
     if args.all_methods:
         from . import bruteforce, rimhooks
         methods = ["dp"]
@@ -136,72 +134,64 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def cmd_rimhook(args) -> int:
-    if args.action == "list":
-        if args.length is None:
-            raise UsageError("rimhook list needs --length")
-        indices = parse_set_option(args.set)
-        from . import rimhooks
-        hooks = rimhooks.enumerate_rimhooks(indices, args.length)
-        for hook in hooks:
-            print(rimhooks.format_skew(hook))
-            if args.ascii:
-                print(hook.ascii())
-                print()
-        print(f"total: {len(hooks)}")
-        return EXIT_OK
-    if args.action == "count":
-        if args.length is None:
-            raise UsageError("rimhook count needs --length")
-        indices = parse_set_option(args.set)
-        n = args.length
-        from . import bruteforce
-        if n - 1 <= bruteforce.DEFAULT_MASK_CAP:
-            value = bruteforce.count_rimhooks_exact(indices, n)
-            method = "enumeration"
-        elif indices == ():
-            from . import rimhooks
-            value = rimhooks.count_empty(n)
-            method = "formula"
-        elif len(indices) == 1:
-            from . import rimhooks
-            value = rimhooks.count_singleton(indices[0], n)
-            method = "formula"
-        else:
-            raise CapExceeded(
-                f"no formula for {set_str(indices)} and n={n} is beyond the "
-                "enumeration cap"
-            )
-        print(f"R({set_str(indices)};{n}) = {value}  [method: {method}]")
-        return EXIT_OK
-    if args.action == "minimal":
-        if args.height is None:
-            raise UsageError("rimhook minimal needs --height")
-        indices = parse_set_option(args.set)
-        from . import rimhooks
-        hook = rimhooks.minimal_search(indices, args.height)
-        if hook is None:
-            print(f"none found: no rim hook of height {args.height} has "
-                  f"double-descent set {set_str(indices)}")
-            return EXIT_OK
+def cmd_rimhook_list(args) -> int:
+    """list the rim hooks of one length and double-descent set"""
+    from . import rimhooks
+    hooks = rimhooks.enumerate_rimhooks(args.set, args.length)
+    for hook in hooks:
         print(rimhooks.format_skew(hook))
         if args.ascii:
             print(hook.ascii())
+            print()
+    print(f"total: {len(hooks)}")
+    return EXIT_OK
+
+
+def cmd_rimhook_count(args) -> int:
+    """count the rim hooks by mask scan, or by formula past the scan's cap"""
+    indices, n = args.set, args.length
+    from . import bruteforce
+    if n - 1 <= bruteforce.DEFAULT_MASK_CAP:
+        value, method = bruteforce.count_rimhooks_exact(indices, n), "enumeration"
+    elif len(indices) > 1:
+        raise CapExceeded(
+            f"no formula for {set_str(indices)} and n={n} is beyond the "
+            "enumeration cap"
+        )
+    else:
+        from . import rimhooks
+        value = (rimhooks.count_singleton(indices[0], n) if indices
+                 else rimhooks.count_empty(n))
+        method = "formula"
+    print(f"R({set_str(indices)};{n}) = {value}  [method: {method}]")
+    return EXIT_OK
+
+
+def cmd_rimhook_minimal(args) -> int:
+    """the fewest-squares rim hook of one height"""
+    from . import rimhooks
+    hook = rimhooks.minimal_search(args.set, args.height)
+    if hook is None:
+        print(f"none found: no rim hook of height {args.height} has "
+              f"double-descent set {set_str(args.set)}")
         return EXIT_OK
-    if args.action == "bounds":
-        if args.length is None:
-            raise UsageError("rimhook bounds needs --length")
-        indices = parse_set_option(args.set)
-        from . import counting, rimhooks
-        low, high = rimhooks.dd_bounds(indices, args.length)
-        exact = counting.dd_count(indices, args.length)
-        print(f"lower = {low}")
-        print(f"exact dd({set_str(indices)};{args.length}) = {exact}")
-        print(f"upper = {high}")
-        bracketed = low <= exact <= high
-        print(f"bracketed: {'yes' if bracketed else 'NO'}")
-        return EXIT_OK if bracketed else EXIT_CHECK_FAILED
-    raise UsageError(f"unknown rimhook action {args.action!r}")
+    print(rimhooks.format_skew(hook))
+    if args.ascii:
+        print(hook.ascii())
+    return EXIT_OK
+
+
+def cmd_rimhook_bounds(args) -> int:
+    """bracket the exact count between rim-hook bounds"""
+    from . import counting, rimhooks
+    low, high = rimhooks.dd_bounds(args.set, args.length)
+    exact = counting.dd_count(args.set, args.length)
+    print(f"lower = {low}")
+    print(f"exact dd({set_str(args.set)};{args.length}) = {exact}")
+    print(f"upper = {high}")
+    bracketed = low <= exact <= high
+    print(f"bracketed: {'yes' if bracketed else 'NO'}")
+    return EXIT_OK if bracketed else EXIT_CHECK_FAILED
 
 
 def cmd_circular(args) -> int:
@@ -260,20 +250,17 @@ def cmd_conjecture(args) -> int:
     elif args.id == "6.3":
         report = conjectures.ratio_monotonicity_report(size(30))
     elif args.id in ("6.4", "6.5"):
-        set_i = parse_set_option(args.set_i if args.set_i is not None
-                                 else ("2" if args.id == "6.4" else ""))
-        set_j = parse_set_option(args.set_j if args.set_j is not None
-                                 else ("4" if args.id == "6.4" else "2,5"))
+        default_i, default_j = ((2,), (4,)) if args.id == "6.4" else ((), (2, 5))
+        set_i = default_i if args.set_i is None else args.set_i
+        set_j = default_j if args.set_j is None else args.set_j
         if args.id == "6.4" and (len(set_i) != 1 or len(set_j) != 1):
             raise UsageError("conjecture 6.4 takes singleton sets; use 6.5")
         report = conjectures.ratio_series_report(
             set_i, set_j, size(conjectures.DEFAULT_SWEEP_MAX),
             conjecture_id=args.id,
         )
-    elif args.id == "3.2":
+    else:  # 3.2
         report = conjectures.ratio_table_report(size(12))
-    else:
-        raise UsageError(f"unknown conjecture id {args.id!r}")
     _check_printable(report)
     _emit(conjectures.report_text(report, args.format), args.out)
     if args.out is not None:
@@ -320,7 +307,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("count",
                        help="count permutations with an exact double-descent set")
-    p.add_argument("--set", required=True,
+    p.add_argument("--set", type=parse_set_option, required=True,
                    help='double-descent set, e.g. "2,5"; "" is the empty set')
     p.add_argument("--n", type=int, required=True, help="permutation length")
     p.add_argument("--method", choices=["dp", "brute", "rimhook"], default="dp")
@@ -338,14 +325,22 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("rimhook",
-                       help="list, count, and bound via rim hooks")
-    p.add_argument("action", choices=["list", "count", "minimal", "bounds"])
-    p.add_argument("--set", default="", help="double-descent set")
-    p.add_argument("--length", type=int, help="number of squares")
-    p.add_argument("--height", type=int, help="rows, for minimal search")
-    p.add_argument("--ascii", action="store_true", help="draw shapes")
-    p.set_defaults(func=cmd_rimhook)
+    actions = sub.add_parser(
+        "rimhook", help="list, count, and bound via rim hooks",
+    ).add_subparsers(dest="action", required=True, parser_class=_Parser)
+    for action, func, size, draws in (
+            ("list", cmd_rimhook_list, "--length", True),
+            ("count", cmd_rimhook_count, "--length", False),
+            ("minimal", cmd_rimhook_minimal, "--height", True),
+            ("bounds", cmd_rimhook_bounds, "--length", False)):
+        p = actions.add_parser(action, help=func.__doc__)
+        p.add_argument("--set", type=parse_set_option, default="",
+                       help="double-descent set")
+        p.add_argument(size, type=int, required=True,
+                       help="number of squares" if size == "--length" else "rows")
+        if draws:
+            p.add_argument("--ascii", action="store_true", help="draw shapes")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("circular",
                        help="rotation classes without cyclic double descents")
@@ -376,8 +371,10 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, help="sweep limit (id-specific default)")
     p.add_argument("--alpha", default="1/4", help="window start for 6.1")
     p.add_argument("--beta", default="3/4", help="window end for 6.1")
-    p.add_argument("--set-i", dest="set_i", help="numerator set for 6.4/6.5")
-    p.add_argument("--set-j", dest="set_j", help="denominator set for 6.4/6.5")
+    p.add_argument("--set-i", type=parse_set_option,
+                   help="numerator set for 6.4/6.5")
+    p.add_argument("--set-j", type=parse_set_option,
+                   help="denominator set for 6.4/6.5")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", help="write the report to a file")
     p.set_defaults(func=cmd_conjecture)

@@ -85,7 +85,6 @@ from operator import add, mul
 from typing import Iterable, Iterator
 
 from . import errors
-from .errors import CapExceeded
 from .perms import as_index_set
 
 
@@ -142,10 +141,7 @@ def dd_count(dd_set: Iterable[int], n: int) -> int:
     Sets not contained in [2, n-1] give 0.
     """
     indices = as_index_set(dd_set)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > errors.DP_CAP:
-        raise CapExceeded(f"dd_count at n={n} exceeds the cap {errors.DP_CAP}")
+    errors.check_dp_size(n, "dd_count")
     if any(i < 2 or i > n - 1 for i in indices):
         return 0
     return _insertion_count(n, frozenset(indices), False)
@@ -156,8 +152,7 @@ def dd_ascent_count(dd_set: Iterable[int], n: int) -> int:
     indices = as_index_set(dd_set)
     if n < 2:
         raise ValueError("initial-ascent counts need n >= 2")
-    if n > errors.DP_CAP:
-        raise CapExceeded(f"dd_ascent_count at n={n} exceeds the cap {errors.DP_CAP}")
+    errors.check_dp_size(n, "dd_ascent_count")
     if any(i < 2 or i > n - 1 for i in indices):
         return 0
     return _insertion_count(n, frozenset(indices), True)
@@ -215,10 +210,7 @@ def _set_coefficients(indices: tuple[int, ...],
 
 def _column(dd_set: Iterable[int], n_max: int, initial_ascent: bool) -> list[int]:
     indices = as_index_set(dd_set)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if n_max > errors.DP_CAP:
-        raise CapExceeded(f"dd column to n={n_max} exceeds the cap {errors.DP_CAP}")
+    errors.check_dp_size(n_max, "dd column")
     if not indices:
         return _empty_columns(n_max)[initial_ascent]
     if indices[0] < 2 or indices[-1] >= n_max:
@@ -286,10 +278,7 @@ def dd_singleton_values(n: int) -> list[int]:
     half from the reverse-complement symmetry dd({m}; n) =
     dd({n+1-m}; n).  Each call returns a fresh list.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > errors.DP_CAP:
-        raise CapExceeded(f"singleton row at n={n} exceeds the cap {errors.DP_CAP}")
+    errors.check_dp_size(n, "singleton row")
     half = _singleton_half_row(n, *_empty_columns(n))
     # m > ceil(n/2) mirrors n + 1 - m; odd n keeps the middle entry once
     return half + half[-1 - n % 2::-1]
@@ -302,49 +291,27 @@ def dd_singleton_row(n: int) -> dict[int, int]:
     return dict(zip(range(2, n), dd_singleton_values(n)))
 
 
-@lru_cache(maxsize=None)
-def _no_dd_ascent(n_max: int) -> tuple[int, ...]:
-    # O(n_max^2) products of growing big integers; at the cap,
-    # no_dd_counts takes 16-19 s (about 1 s at n_max = 500)
-    if n_max > errors.DP_CAP:
-        raise CapExceeded(
-            f"convolution sequence to n={n_max} exceeds the cap {errors.DP_CAP}")
-    if n_max < 1:
-        return (1,)[: n_max + 1]
-    values = [1, 1]
-    for n in range(1, n_max):
-        convo = sum(
-            comb(n, k) * values[k] * values[n - k] for k in range(n + 1)
-        )
-        values.append(convo - values[n])
-    return tuple(values)
-
-
 def no_dd_ascent_counts(n_max: int) -> list[int]:
     """Counts of permutations with no double descents and no initial
     descent, for lengths 0..n_max.
 
     Computed by the convolution recursion
     a(n+1) = sum_k C(n,k) a(k) a(n-k) - a(n) seeded with a(0) = a(1) = 1;
-    the seeds are the empty/singleton conventions.
+    the seeds are the empty/singleton conventions.  O(n_max^2) products
+    of growing big integers: at the cap, :func:`no_dd_counts` takes
+    16-19 s (about 1 s at n_max = 500).
 
     >>> no_dd_ascent_counts(5)
     [1, 1, 1, 3, 9, 39]
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    return list(_no_dd_ascent(n_max))
-
-
-@lru_cache(maxsize=None)
-def _no_dd(n_max: int) -> tuple[int, ...]:
-    blocks = _no_dd_ascent(n_max)
-    values = [1]
-    for n in range(n_max):
-        values.append(
-            sum(comb(n, k) * values[k] * blocks[n - k] for k in range(n + 1))
+    errors.check_dp_size(n_max, "convolution sequence")
+    values = [1, 1]
+    for n in range(1, n_max):
+        convo = sum(
+            comb(n, k) * values[k] * values[n - k] for k in range(n + 1)
         )
-    return tuple(values)
+        values.append(convo - values[n])
+    return values[: n_max + 1]
 
 
 def no_dd_counts(n_max: int) -> list[int]:
@@ -354,9 +321,13 @@ def no_dd_counts(n_max: int) -> list[int]:
     >>> no_dd_counts(5)
     [1, 1, 2, 5, 17, 70]
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    return list(_no_dd(n_max))
+    blocks = no_dd_ascent_counts(n_max)
+    values = [1]
+    for n in range(n_max):
+        values.append(
+            sum(comb(n, k) * values[k] * blocks[n - k] for k in range(n + 1))
+        )
+    return values
 
 
 def _singleton_head(m: int, n: int) -> tuple[int, int, list[int]]:

@@ -31,6 +31,10 @@ DEFAULT_LIST_CAP = 20
 # max(I) + 2h bounds the length of minimal_search's hook; at the cap,
 # `rimhook minimal --set 3 --height 498 --ascii` prints 128 KB in < 0.1 s
 MINIMAL_LENGTH_CAP = 1000
+# the Fibonacci formulas' values are at most F(n+1), which has 4180
+# digits at the cap: under the interpreter's default 4300-digit limit
+# for integer-to-string conversion, and `rimhook count` takes 0.1 s there
+FORMULA_LENGTH_CAP = 20000
 
 
 class SkewParseError(ValueError):
@@ -212,9 +216,16 @@ def fibonacci(k: int) -> int:
     return a
 
 
+def _check_formula_length(n: int) -> None:
+    if n > FORMULA_LENGTH_CAP:
+        raise CapExceeded(f"rim-hook formula at n={n} exceeds the cap "
+                          f"n={FORMULA_LENGTH_CAP}")
+
+
 def count_singleton(m: int, n: int) -> int:
     """Number of length-n rim hooks encoding double-descent set {m}:
     F_{n-m} * F_{m-1}."""
+    _check_formula_length(n)
     if m < 2:
         raise ValueError("a double descent needs position m >= 2")
     if n < m + 1:
@@ -226,6 +237,7 @@ def count_empty(n: int) -> int:
     """Number of length-n rim hooks with no encoded double descents:
     F_{n+1}.  The tests pin it to :func:`count_empty_binomial` and to
     the mask scan."""
+    _check_formula_length(n)
     if n < 2:
         raise ValueError("the closed form starts at n = 2")
     return fibonacci(n + 1)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from operator import add, mul
 
 from . import errors
-from .errors import CapExceeded
 
 
 def egf_quotient(numerator: list[int], denominator: list[int]) -> list[int]:
@@ -60,21 +59,11 @@ def _c_plus_minus_s(order: int) -> tuple[list[int], list[int]]:
     return plus, [-p if n % 2 else p for n, p in enumerate(plus)]
 
 
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if order > errors.DP_CAP:
-        raise CapExceeded(
-            f"series to order {order}: {order + 1} coefficients exceeds "
-            f"the cap {errors.DP_CAP}"
-        )
-
-
 def egf_no_dd_ascent(order: int) -> list[int]:
     """Scaled coefficients of the exponential generating function of the
     counts of permutations with no double descents and no initial
     descent: 1/2 + (sqrt(3)/2) tan((sqrt(3)/2) x + pi/6)."""
-    _check_order(order)
+    errors.check_dp_size(order, f"series of {order + 1} coefficients")
     return egf_quotient(*_c_plus_minus_s(order))
 
 
@@ -82,7 +71,7 @@ def egf_no_dd(order: int) -> list[int]:
     """Scaled coefficients of the exponential generating function of the
     no-double-descent counts:
     (sqrt(3)/2) e^(x/2) / cos((sqrt(3)/2) x + pi/6)."""
-    _check_order(order)
+    errors.check_dp_size(order, f"series of {order + 1} coefficients")
     return egf_quotient([1] * (order + 1), _c_plus_minus_s(order)[1])
 
 

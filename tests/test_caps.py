@@ -1,6 +1,7 @@
 """Each counting route has one cap, a module constant that every entry
 point reads when it is called, so changing the constant moves all of
-its refusals together and the refusal prints the constant's value."""
+its refusals together and the refusal prints the constant's value.
+Every entry point also refuses a negative size with ``ValueError``."""
 
 import pytest
 
@@ -20,6 +21,8 @@ from ddperm.errors import CapExceeded
         counting.dd_singleton_values,
         series.egf_no_dd,
         series.egf_no_dd_ascent,
+        counting.no_dd_counts,
+        counting.no_dd_ascent_counts,
     )),
     (rh, "DEFAULT_LIST_CAP", (
         lambda n: rh.enumerate_rimhooks((), n),
@@ -36,11 +39,18 @@ from ddperm.errors import CapExceeded
     )),
     # the mask cap bounds n - 1, the number of free descent positions
     (bf, "DEFAULT_MASK_CAP", (lambda n: bf.count_rimhooks_exact((), n + 1),)),
+    (rh, "FORMULA_LENGTH_CAP", (
+        rh.count_empty,
+        lambda n: rh.count_singleton(2, n),
+    )),
     (perms, "ITERATION_CAP", (lambda n: list(perms.iterate_permutations(n)),)),
-], ids=["dp", "rimhook-list", "brute", "rimhook-masks", "iteration"])
+], ids=["dp", "rimhook-list", "brute", "rimhook-masks", "rimhook-formula",
+        "iteration"])
 def test_each_refusal_reads_its_module_constant(monkeypatch, module, constant, calls):
     monkeypatch.setattr(module, constant, 5)
     for call in calls:
         call(5)
         with pytest.raises(CapExceeded, match=r"cap (n=|2\^)?5\b"):
             call(6)
+        with pytest.raises(ValueError):
+            call(-1)

@@ -54,6 +54,14 @@ def test_count_usage_errors():
     assert run_cli("bogus").returncode == 64
 
 
+def test_brute_force_refuses_negative_n():
+    # the census of a negative length used to answer dd({};-1) = 1
+    result = run_cli("count", "--set", "", "--n", "-1", "--method", "brute")
+    assert result.returncode == 64
+    assert result.stdout == ""
+    assert result.stderr == "ddperm: error: n must be nonnegative\n"
+
+
 def test_count_cap_exit_code():
     result = run_cli("count", "--set", "2", "--n", "13", "--method", "brute")
     assert result.returncode == 2
@@ -184,6 +192,51 @@ def test_rimhook_bounds():
     result = run_cli("rimhook", "bounds", "--set", "3", "--length", "6")
     assert result.returncode == 0
     assert "bracketed: yes" in result.stdout
+
+
+@pytest.mark.parametrize("argv, named", [
+    # each action takes only its own flags
+    (("list", "--set", "2", "--length", "6", "--height", "3"), "--height"),
+    (("count", "--set", "2", "--length", "8", "--ascii"), "--ascii"),
+    (("count", "--set", "2", "--length", "8", "--height", "3"), "--height"),
+    (("minimal", "--set", "3", "--height", "5", "--length", "9"), "--length"),
+    (("bounds", "--set", "3", "--length", "6", "--ascii"), "--ascii"),
+    (("bounds", "--set", "3", "--length", "6", "--height", "3"), "--height"),
+    # and requires its size flag
+    (("list", "--set", "2"), "--length"),
+    (("count", "--set", "2"), "--length"),
+    (("minimal", "--set", "3", "--length", "9"), "--height"),
+    (("bounds", "--set", "3"), "--length"),
+    # options follow the action
+    (("--set", "2", "list", "--length", "6"), "action"),
+])
+def test_rimhook_actions_take_only_their_flags(argv, named):
+    result = run_cli("rimhook", *argv)
+    assert result.returncode == 64
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert named in result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("count",), ("table",), ("rimhook",), ("rimhook", "list"),
+    ("rimhook", "count"), ("rimhook", "minimal"), ("rimhook", "bounds"),
+    ("circular",), ("egf-check",), ("estimate",), ("conjecture",),
+    ("selftest",),
+])
+def test_help_exits_zero(capsys, argv):
+    assert cli.main([*argv, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(" ".join(("usage: ddperm", *argv)))
+
+
+def test_rimhook_formula_cap_refuses_at_once():
+    # F(10^6 + 1) took 8 s and then passed the interpreter's digit limit
+    result = run_cli("rimhook", "count", "--set", "", "--length", "1000000",
+                     timeout=5)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == ("ddperm: resource cap: rim-hook formula at "
+                             "n=1000000 exceeds the cap n=20000\n")
 
 
 def test_circular_methods_agree():
@@ -340,63 +393,30 @@ def test_arithmetic_errors_exit_with_one_line(monkeypatch, capsys,
     assert err == prefix + "planted\n"
 
 
-_NUMPY_PROBE = """
-import contextlib, io, sys
-import ddperm, ddperm.cli
-code = None
-if len(sys.argv) > 1:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = ddperm.cli.main(sys.argv[1:])
-print(code, "numpy" in sys.modules, "ddperm.checks" in sys.modules,
-      "json" in sys.modules)
-"""
-
-
-@pytest.mark.parametrize("argv, code, loads_numpy", [
-    ((), None, False),
-    (("count", "--set", "6", "--n", "9"), 0, False),
-    (("table", "--family", "b", "--to", "10"), 0, False),
-    (("table", "--family", "singleton", "--n", "12"), 0, False),
-    (("egf-check", "--which", "b", "--order", "10"), 0, False),
-    (("rimhook", "count", "--set", "2", "--length", "8"), 0, False),
-    (("rimhook", "list", "--set", "2", "--length", "6"), 0, False),
-    (("circular", "count", "--n", "8"), 0, False),
-    (("estimate", "--m", "6", "--n", "8"), 0, False),
-    (("conjecture", "run", "--id", "6.2", "--n", "12"), 0, False),
-    (("count", "--set", "5,2", "--n", "6"), 64, False),
-    (("count", "--set", "2", "--n", "13", "--method", "brute"), 2, False),
-    (("circular", "count", "--n", "14", "--method", "brute"), 2, False),
-    (("count", "--set", "2", "--n", "6", "--all-methods"), 0, False),
-    (("selftest",), 0, False),
-    (("table", "--family", "b", "--to", "10", "--format", "json"), 0, False),
-])
-def test_numpy_loads_only_for_sweeps(argv, code, loads_numpy):
-    loads_checks = argv == ("selftest",)
-    loads_json = "json" in argv
-    result = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, *argv],
-        capture_output=True, text=True,
-    )
-    expected = f"{code} {loads_numpy} {loads_checks} {loads_json}\n"
-    assert result.stdout == expected, result.stderr
-
-
 _IMPORT_PROBE = """
 import contextlib, importlib, io, sys
 import ddperm
+code = None
 if sys.argv[1:2] == ["--import"]:
     importlib.import_module(sys.argv[2])
 elif len(sys.argv) > 1:
     from ddperm import cli
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
-        cli.main(sys.argv[1:])
-print(*sorted(m for m in sys.modules if m.split(".")[0] == "ddperm"))
+        code = cli.main(sys.argv[1:])
+print(code, "json" in sys.modules,
+      *sorted(m for m in sys.modules if m.split(".")[0] == "ddperm"))
 """
 
-_COMPUTING = {"ddperm." + m for m in (
-    "bruteforce", "checks", "circular", "conjectures", "counting", "rimhooks",
-    "series")}
+_ROUTES = ("bruteforce", "checks", "circular", "conjectures", "counting",
+           "rimhooks", "series")
+_COMPUTING = {"ddperm." + m for m in _ROUTES}
+# the exit codes of the refused commands below; every other command exits 0
+_REFUSED = {
+    ("count", "--set", "5,2", "--n", "6"): 64,
+    ("count", "--set", "2", "--n", "13", "--method", "brute"): 2,
+    ("circular", "count", "--n", "14", "--method", "brute"): 2,
+}
 
 
 @pytest.mark.parametrize("argv, computing", [
@@ -407,16 +427,36 @@ _COMPUTING = {"ddperm." + m for m in (
     (("egf-check", "--which", "b", "--order", "10"), {"counting", "series"}),
     # series reads its cap from errors, so it loads no counting route
     (("--import", "ddperm.series"), {"errors", "series"}),
+    (("table", "--family", "b", "--to", "10"), {"counting"}),
+    (("table", "--family", "b", "--to", "10", "--format", "json"),
+     {"counting"}),
+    (("rimhook", "count", "--set", "2", "--length", "8"), {"bruteforce"}),
+    (("rimhook", "list", "--set", "2", "--length", "6"), {"rimhooks"}),
+    (("circular", "count", "--n", "8"), {"circular", "counting"}),
+    (("circular", "count", "--n", "14", "--method", "brute"),
+     {"bruteforce"}),
+    (("estimate", "--m", "6", "--n", "8"), {"counting"}),
+    (("conjecture", "run", "--id", "6.2", "--n", "12"),
+     {"conjectures", "counting"}),
+    (("count", "--set", "2", "--n", "13", "--method", "brute"),
+     {"bruteforce"}),
+    (("count", "--set", "2", "--n", "6", "--all-methods"),
+     {"counting", "bruteforce", "rimhooks"}),
+    (("selftest",), set(_ROUTES)),
 ])
 def test_subcommand_loads_only_its_modules(argv, computing):
     # a CLI child compiles every module it loads (no bytecode cache is
-    # assumed), so each subcommand must load only the modules it runs
+    # assumed), so each subcommand must load only the modules it runs:
+    # only selftest loads the check registry, only JSON output loads json
     result = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, *argv],
         capture_output=True, text=True,
     )
-    loaded = set(result.stdout.split())
     assert result.returncode == 0, result.stderr
+    code = None if argv[:1] in ((), ("--import",)) else _REFUSED.get(argv, 0)
+    exit_code, loads_json, *loaded = result.stdout.split()
+    assert (exit_code, loads_json) == (str(code), str("json" in argv))
+    loaded = set(loaded)
     expected = {"ddperm." + m for m in computing or ()}
     if computing is None or argv[0] == "--import":  # exactly these modules
         assert loaded == {"ddperm"} | expected
