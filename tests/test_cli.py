@@ -393,30 +393,63 @@ def test_arithmetic_errors_exit_with_one_line(monkeypatch, capsys,
     assert err == prefix + "planted\n"
 
 
+_NUMPY_PROBE = """
+import contextlib, io, sys
+import ddperm, ddperm.cli
+code = None
+if len(sys.argv) > 1:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ddperm.cli.main(sys.argv[1:])
+print(code, "numpy" in sys.modules, "ddperm.checks" in sys.modules,
+      "json" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, code, loads_numpy", [
+    ((), None, False),
+    (("count", "--set", "6", "--n", "9"), 0, False),
+    (("table", "--family", "b", "--to", "10"), 0, False),
+    (("table", "--family", "singleton", "--n", "12"), 0, False),
+    (("egf-check", "--which", "b", "--order", "10"), 0, False),
+    (("rimhook", "count", "--set", "2", "--length", "8"), 0, False),
+    (("rimhook", "list", "--set", "2", "--length", "6"), 0, False),
+    (("circular", "count", "--n", "8"), 0, False),
+    (("estimate", "--m", "6", "--n", "8"), 0, False),
+    (("conjecture", "run", "--id", "6.2", "--n", "12"), 0, False),
+    (("count", "--set", "5,2", "--n", "6"), 64, False),
+    (("count", "--set", "2", "--n", "13", "--method", "brute"), 2, False),
+    (("circular", "count", "--n", "14", "--method", "brute"), 2, False),
+    (("count", "--set", "2", "--n", "6", "--all-methods"), 0, False),
+    (("selftest",), 0, False),
+    (("table", "--family", "b", "--to", "10", "--format", "json"), 0, False),
+])
+def test_numpy_loads_only_for_sweeps(argv, code, loads_numpy):
+    loads_checks = argv == ("selftest",)
+    loads_json = "json" in argv
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *argv],
+        capture_output=True, text=True,
+    )
+    expected = f"{code} {loads_numpy} {loads_checks} {loads_json}\n"
+    assert result.stdout == expected, result.stderr
+
+
 _IMPORT_PROBE = """
 import contextlib, importlib, io, sys
 import ddperm
-code = None
 if sys.argv[1:2] == ["--import"]:
     importlib.import_module(sys.argv[2])
 elif len(sys.argv) > 1:
     from ddperm import cli
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(sys.argv[1:])
-print(code, "json" in sys.modules,
-      *sorted(m for m in sys.modules if m.split(".")[0] == "ddperm"))
+        cli.main(sys.argv[1:])
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "ddperm"))
 """
 
 _ROUTES = ("bruteforce", "checks", "circular", "conjectures", "counting",
            "rimhooks", "series")
 _COMPUTING = {"ddperm." + m for m in _ROUTES}
-# the exit codes of the refused commands below; every other command exits 0
-_REFUSED = {
-    ("count", "--set", "5,2", "--n", "6"): 64,
-    ("count", "--set", "2", "--n", "13", "--method", "brute"): 2,
-    ("circular", "count", "--n", "14", "--method", "brute"): 2,
-}
 
 
 @pytest.mark.parametrize("argv, computing", [
@@ -446,17 +479,13 @@ _REFUSED = {
 ])
 def test_subcommand_loads_only_its_modules(argv, computing):
     # a CLI child compiles every module it loads (no bytecode cache is
-    # assumed), so each subcommand must load only the modules it runs:
-    # only selftest loads the check registry, only JSON output loads json
+    # assumed), so each subcommand must load only the modules it runs
     result = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, *argv],
         capture_output=True, text=True,
     )
+    loaded = set(result.stdout.split())
     assert result.returncode == 0, result.stderr
-    code = None if argv[:1] in ((), ("--import",)) else _REFUSED.get(argv, 0)
-    exit_code, loads_json, *loaded = result.stdout.split()
-    assert (exit_code, loads_json) == (str(code), str("json" in argv))
-    loaded = set(loaded)
     expected = {"ddperm." + m for m in computing or ()}
     if computing is None or argv[0] == "--import":  # exactly these modules
         assert loaded == {"ddperm"} | expected

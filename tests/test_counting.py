@@ -5,7 +5,7 @@ import pytest
 
 from conftest import all_index_sets
 from ddperm import bruteforce as bf
-from ddperm import cli, counting, series
+from ddperm import cli, counting, errors, series
 from ddperm.errors import CapExceeded
 from ddperm.render import decimal_str, percent_str
 
@@ -278,3 +278,19 @@ def test_ascent_column_grown_first_matches_flagged_dp(monkeypatch):
     assert ascent[2:] == [counting.dd_ascent_count((), n) for n in range(2, 121)]
     assert early == ascent[:71]
     assert free == counting.no_dd_counts(10)
+
+
+def test_columns_and_row_caps():
+    with pytest.raises(CapExceeded):
+        counting.dd_counts((2,), errors.DP_CAP + 1)
+    with pytest.raises(CapExceeded):
+        counting.dd_ascent_counts((), errors.DP_CAP + 1)
+    with pytest.raises(CapExceeded):
+        counting.dd_singleton_row(errors.DP_CAP + 1)
+    with pytest.raises(ValueError):
+        counting.dd_counts((), -1)
+    with pytest.raises(ValueError):
+        counting.dd_singleton_row(-2)
+    for sequence in (counting.no_dd_counts, counting.no_dd_ascent_counts):
+        with pytest.raises(CapExceeded):
+            sequence(errors.DP_CAP + 1)
