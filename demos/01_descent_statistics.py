@@ -7,7 +7,9 @@ maximum.  This script walks through the statistics on a few words and
 then lists a full double-descent class of S_4.
 """
 
-from ddperm import descent_set, double_descent_set, peak_set, iterate_permutations
+import itertools
+
+from ddperm import descent_set, double_descent_set, peak_set
 
 WORD = (1, 7, 3, 2, 6, 4, 5)
 
@@ -23,7 +25,7 @@ print("  reversal   ->", double_descent_set((5, 4, 3, 2, 1)), "(descends everywh
 print()
 
 print("the class DD({2}; 4): every w in S_4 whose double-descent set is {2}")
-for w in iterate_permutations(4):
+for w in itertools.permutations(range(1, 5)):
     if double_descent_set(w) == (2,):
         print("  ", list(w))
 print()

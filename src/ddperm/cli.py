@@ -27,10 +27,6 @@ EXIT_USAGE = 64
 EXIT_CANTCREAT = 73
 
 
-class UsageError(argparse.ArgumentTypeError):
-    """Bad input; argparse prints the message of one raised by a ``type``."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 64, not argparse's default 2
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -38,21 +34,24 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_set_option(text: str) -> tuple[int, ...]:
     """Index-set notation: "" is the empty set, "2,5" is {2,5}.
-    Entries must be strictly increasing with no duplicates."""
+    Entries must be strictly increasing with no duplicates; argparse
+    prints the message of the ``ArgumentTypeError`` a bad value raises."""
     if text == "":
         return ()
     parts = text.split(",")
     try:
         values = [int(p) for p in parts]
     except ValueError:
-        raise UsageError(f"not a comma-separated integer set: {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated integer set: {text!r}") from None
     for a, b in zip(values, values[1:]):
         if a >= b:
-            raise UsageError(
+            raise argparse.ArgumentTypeError(
                 f"set entries must be strictly increasing: {text!r}"
             )
     if any(v < 1 for v in values):
-        raise UsageError(f"set entries must be positive: {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"set entries must be positive: {text!r}")
     return tuple(values)
 
 
@@ -68,7 +67,7 @@ def _count_one(method: str, indices: tuple[int, ...], n: int) -> int:
 
 
 def cmd_count(args) -> int:
-    indices = args.set
+    methods = [args.method]
     if args.all_methods:
         from . import bruteforce, rimhooks
         methods = ["dp"]
@@ -76,17 +75,16 @@ def cmd_count(args) -> int:
             methods.append("brute")
         if 1 <= args.n <= rimhooks.DEFAULT_LIST_CAP:
             methods.append("rimhook")
-        results = {}
-        for method in methods:
-            value = _count_one(method, indices, args.n)
-            results[method] = value
-            print(f"dd({set_str(indices)};{args.n}) = {value}  [method: {method}]")
-        agreed = len(set(results.values())) == 1
-        print(f"agreement: {'OK' if agreed else 'MISMATCH'}")
-        return EXIT_OK if agreed else EXIT_CHECK_FAILED
-    value = _count_one(args.method, indices, args.n)
-    print(f"dd({set_str(indices)};{args.n}) = {value}  [method: {args.method}]")
-    return EXIT_OK
+    values = set()
+    for method in methods:
+        value = _count_one(method, args.set, args.n)
+        values.add(value)
+        print(f"dd({set_str(args.set)};{args.n}) = {value}  [method: {method}]")
+    if not args.all_methods:
+        return EXIT_OK
+    agreed = len(values) == 1
+    print(f"agreement: {'OK' if agreed else 'MISMATCH'}")
+    return EXIT_OK if agreed else EXIT_CHECK_FAILED
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -99,37 +97,25 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_table(args) -> int:
     from . import counting
-    if args.family in ("b", "ddempty"):
-        if args.to is None:
-            raise UsageError(f"--family {args.family} needs --to")
-        top = args.to
+    size = args.size
+    if args.family == "singleton":  # dd({i}; size) for i = 2..size-1
+        columns = ("n", "i", "value")
+        rows = [(size, i, v)
+                for i, v in enumerate(counting.dd_singleton_values(size), 2)]
+    else:  # the empty-set column to length size
         column = counting.dd_ascent_counts if args.family == "b" else counting.dd_counts
-        values = column((), top)
-        if args.format == "csv":
-            text = csv_text(("n", "value"), list(enumerate(values)))
+        columns = ("n", "value")
+        rows = list(enumerate(column((), size)))
+    if args.format == "csv":
+        text = csv_text(columns, rows)
+    else:
+        import json
+        if args.family == "singleton":
+            body = {"n": size,
+                    "entries": [{"i": i, "value": str(v)} for _, i, v in rows]}
         else:
-            import json
-            text = json.dumps(
-                {"family": args.family, "to": top,
-                 "values": [str(v) for v in values]},
-                indent=2,
-            ) + "\n"
-    else:  # singleton
-        if args.n is None:
-            raise UsageError("--family singleton needs --n")
-        table = counting.dd_singleton_row(args.n)
-        if args.format == "csv":
-            rows = [(args.n, i, str(v)) for i, v in sorted(table.items())]
-            text = csv_text(("n", "i", "value"), rows)
-        else:
-            import json
-            text = json.dumps(
-                {"family": "singleton", "n": args.n,
-                 "entries": [
-                     {"i": i, "value": str(v)} for i, v in sorted(table.items())
-                 ]},
-                indent=2,
-            ) + "\n"
+            body = {"to": size, "values": [str(v) for _, v in rows]}
+        text = json.dumps({"family": args.family, **body}, indent=2) + "\n"
     _emit(text, args.out)
     return EXIT_OK
 
@@ -227,15 +213,22 @@ def cmd_estimate(args) -> int:
     from . import counting
     estimate = counting.dd_singleton_estimate(args.m, args.n)
     print(f"estimate dd({{{args.m}}};{args.n + 1}) = {decimal_str(estimate, 3)}")
-    exact = counting.dd_count((args.m,), args.n + 1)
+    exact = counting.dd_count((args.m,), args.n + 1)  # > 0 for 2 <= m <= n
     print(f"exact    dd({{{args.m}}};{args.n + 1}) = {exact}")
-    if exact:
-        rel = abs(estimate - exact) / exact
-        print(f"relative error = {percent_str(rel, 2)}")
+    print(f"relative error = {percent_str(abs(estimate - exact) / exact, 2)}")
     return EXIT_OK
 
 
 def cmd_conjecture(args) -> int:
+    owners = {"--alpha": "6.1", "--beta": "6.1",
+              "--set-i": "6.4 6.5", "--set-j": "6.4 6.5"}
+    for flag, ids in owners.items():  # refuse a flag this id would ignore
+        given = getattr(args, flag[2:].replace("-", "_")) is not None
+        if given and args.id not in ids.split():
+            raise ValueError(f"conjecture {args.id} does not take {flag}")
+    if args.id == "6.4" and any(s is not None and len(s) != 1
+                                for s in (args.set_i, args.set_j)):
+        raise ValueError("conjecture 6.4 takes singleton sets; use 6.5")
     from . import conjectures
 
     def size(default: int) -> int:
@@ -243,7 +236,9 @@ def cmd_conjecture(args) -> int:
 
     if args.id == "6.1":
         report = conjectures.equidistribution_report(
-            size(30), Fraction(args.alpha), Fraction(args.beta)
+            size(30),
+            Fraction(1, 4) if args.alpha is None else Fraction(args.alpha),
+            Fraction(3, 4) if args.beta is None else Fraction(args.beta),
         )
     elif args.id == "6.2":
         report = conjectures.down_up_report(size(30))
@@ -253,8 +248,6 @@ def cmd_conjecture(args) -> int:
         default_i, default_j = ((2,), (4,)) if args.id == "6.4" else ((), (2, 5))
         set_i = default_i if args.set_i is None else args.set_i
         set_j = default_j if args.set_j is None else args.set_j
-        if args.id == "6.4" and (len(set_i) != 1 or len(set_j) != 1):
-            raise UsageError("conjecture 6.4 takes singleton sets; use 6.5")
         report = conjectures.ratio_series_report(
             set_i, set_j, size(conjectures.DEFAULT_SWEEP_MAX),
             conjecture_id=args.id,
@@ -319,8 +312,8 @@ def build_parser() -> _Parser:
                        help="emit count tables (csv or json)")
     p.add_argument("--family", choices=["b", "ddempty", "singleton"],
                    required=True)
-    p.add_argument("--to", type=int, help="largest length for b/ddempty")
-    p.add_argument("--n", type=int, help="length for the singleton family")
+    p.add_argument("--to", "--n", dest="size", type=int, required=True,
+                   help="largest length for b/ddempty, the length for singleton")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_table)
@@ -369,8 +362,8 @@ def build_parser() -> _Parser:
     p.add_argument("--id", required=True,
                    choices=["6.1", "6.2", "6.3", "6.4", "6.5", "3.2"])
     p.add_argument("--n", type=int, help="sweep limit (id-specific default)")
-    p.add_argument("--alpha", default="1/4", help="window start for 6.1")
-    p.add_argument("--beta", default="3/4", help="window end for 6.1")
+    p.add_argument("--alpha", help="window start for 6.1 (default 1/4)")
+    p.add_argument("--beta", help="window end for 6.1 (default 3/4)")
     p.add_argument("--set-i", type=parse_set_option,
                    help="numerator set for 6.4/6.5")
     p.add_argument("--set-j", type=parse_set_option,
@@ -397,9 +390,6 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"ddperm: resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except UsageError as exc:
-        print(f"ddperm: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, ZeroDivisionError) as exc:
         print(f"ddperm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

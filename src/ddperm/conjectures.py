@@ -28,7 +28,7 @@ from typing import Iterable
 from . import counting
 from .perms import as_index_set
 from .errors import CapExceeded
-from .render import csv_text, decimal_str, ratio_str
+from .render import csv_text, decimal_str, ratio_str, set_str
 
 # rendering precision for ratio columns (comparisons never use these)
 PLACES = 10
@@ -241,7 +241,7 @@ def ratio_series_report(set_i: Iterable[int], set_j: Iterable[int],
         if not any(counts):
             raise ValueError(
                 f"dd({name};n) = 0 for all computed n "
-                f"({name}={set(indices) or '{}'}, n <= {n_max})"
+                f"({name}={set_str(indices)}, n <= {n_max})"
             )
     start = max(next(n for n, v in enumerate(c) if v) for c in (nums, dens))
     rows = tuple((n, nums[n], dens[n], ratio_str(nums[n], dens[n], PLACES))

@@ -17,17 +17,10 @@ as strictly increasing tuples of positions.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Iterator
-
-from .errors import CapExceeded
+from typing import Iterable
 
 Perm = tuple[int, ...]
 IndexSet = tuple[int, ...]
-
-# Full enumeration of S_13 and beyond is never reasonable in-process;
-# refuse rather than hang.
-ITERATION_CAP = 12
 
 
 def check_permutation(w: Iterable[int]) -> Perm:
@@ -88,19 +81,3 @@ def has_initial_ascent(w: Iterable[int]) -> bool:
     if len(word) < 2:
         raise ValueError("initial ascent needs at least two entries")
     return word[0] < word[1]
-
-
-def iterate_permutations(n: int) -> Iterator[Perm]:
-    """Yield the n! permutations of [n] in lexicographic order.
-
-    The empty permutation is yielded once for n = 0.  Refuses
-    n > ``ITERATION_CAP`` (12) with CapExceeded.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > ITERATION_CAP:
-        raise CapExceeded(
-            f"refusing to enumerate {n}! permutations (cap {ITERATION_CAP}); "
-            "use the dynamic-programming counters instead"
-        )
-    return iter(itertools.permutations(range(1, n + 1)))

@@ -33,7 +33,8 @@ DEFAULT_LIST_CAP = 20
 MINIMAL_LENGTH_CAP = 1000
 # the Fibonacci formulas' values are at most F(n+1), which has 4180
 # digits at the cap: under the interpreter's default 4300-digit limit
-# for integer-to-string conversion, and `rimhook count` takes 0.1 s there
+# for integer-to-string conversion, and `rimhook count` takes 0.1 s there;
+# count_empty_binomial, the summation that checks count_empty, shares it
 FORMULA_LENGTH_CAP = 20000
 
 
@@ -248,6 +249,7 @@ def count_empty_binomial(n: int) -> int:
     double descents is the staircase minimal element plus a weak
     h-composition of the leftover squares, giving C(n-k+1, k-1) at
     height k, for k up to floor((n+2)/2)."""
+    _check_formula_length(n)
     if n < 2:
         raise ValueError("the summation form starts at n = 2")
     top = (n + 2) // 2

@@ -6,7 +6,7 @@ Every entry point also refuses a negative size with ``ValueError``."""
 import pytest
 
 from ddperm import bruteforce as bf
-from ddperm import counting, errors, perms, series
+from ddperm import counting, errors, series
 from ddperm import rimhooks as rh
 from ddperm.errors import CapExceeded
 
@@ -41,11 +41,10 @@ from ddperm.errors import CapExceeded
     (bf, "DEFAULT_MASK_CAP", (lambda n: bf.count_rimhooks_exact((), n + 1),)),
     (rh, "FORMULA_LENGTH_CAP", (
         rh.count_empty,
+        rh.count_empty_binomial,
         lambda n: rh.count_singleton(2, n),
     )),
-    (perms, "ITERATION_CAP", (lambda n: list(perms.iterate_permutations(n)),)),
-], ids=["dp", "rimhook-list", "brute", "rimhook-masks", "rimhook-formula",
-        "iteration"])
+], ids=["dp", "rimhook-list", "brute", "rimhook-masks", "rimhook-formula"])
 def test_each_refusal_reads_its_module_constant(monkeypatch, module, constant, calls):
     monkeypatch.setattr(module, constant, 5)
     for call in calls:

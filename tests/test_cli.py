@@ -1,10 +1,12 @@
+import argparse
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from ddperm import checks, cli, counting, errors, series
+from ddperm import checks, cli, conjectures, counting, errors, series
 
 
 def run_cli(*args, env=None, timeout=None):
@@ -136,9 +138,22 @@ def test_unwritable_out_exits_73(tmp_path, argv):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("family", ["b", "ddempty", "singleton"])
+def test_table_size_flags_are_one_value(family):
+    # --to and --n spell the same size for every family
+    to, n = (run_cli("table", "--family", family, flag, "9", "--format", "json")
+             for flag in ("--to", "--n"))
+    assert to.returncode == n.returncode == 0
+    assert to.stdout == n.stdout
+
+
 def test_table_missing_flag_is_usage_error():
-    assert run_cli("table", "--family", "b").returncode == 64
-    assert run_cli("table", "--family", "singleton").returncode == 64
+    for family in ("b", "singleton"):
+        result = run_cli("table", "--family", family)
+        assert result.returncode == 64
+        assert result.stdout == ""
+        assert result.stderr == ("ddperm table: error: the following "
+                                 "arguments are required: --to/--n\n")
 
 
 def test_table_singleton_negative_n_is_usage_error():
@@ -299,6 +314,46 @@ def test_conjecture_64_requires_singletons():
         "conjecture", "run", "--id", "6.4", "--set-i", "2,3", "--set-j", "4"
     )
     assert result.returncode == 64
+    assert result.stdout == ""
+    assert result.stderr == ("ddperm: error: conjecture 6.4 takes singleton "
+                             "sets; use 6.5\n")
+
+
+@pytest.mark.parametrize("argv, named", [
+    # each id takes only the flags it reads
+    (("--id", "6.2", "--alpha", "1/3"), "--alpha"),
+    (("--id", "6.3", "--beta", "2/3"), "--beta"),
+    (("--id", "6.1", "--set-i", "3"), "--set-i"),
+    (("--id", "6.1", "--set-i", ""), "--set-i"),
+    (("--id", "3.2", "--set-j", "2"), "--set-j"),
+    (("--id", "6.4", "--alpha", "1/3"), "--alpha"),
+    (("--id", "6.5", "--beta", "2/3", "--n", "12"), "--beta"),
+])
+def test_conjecture_ids_take_only_their_flags(capsys, argv, named):
+    assert cli.main(["conjecture", "run", *argv]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"ddperm: error: conjecture {argv[1]} does not take {named}\n"
+
+
+@pytest.mark.parametrize("flags, alpha, beta", [
+    (("--n", "70", "--alpha", "1/3", "--beta", "2/3"), Fraction(1, 3), Fraction(2, 3)),
+    (("--n", "20"), Fraction(1, 4), Fraction(3, 4)),
+    (("--n", "20", "--beta", "1/2"), Fraction(1, 4), Fraction(1, 2)),
+])
+def test_conjecture_61_window(capsys, flags, alpha, beta):
+    assert cli.main(["conjecture", "run", "--id", "6.1", *flags]) == 0
+    report = conjectures.equidistribution_report(int(flags[1]), alpha, beta)
+    assert capsys.readouterr().out == conjectures.report_text(report, "csv")
+
+
+def test_conjecture_unrealizable_set_is_named_in_set_notation(capsys):
+    argv = ["conjecture", "run", "--id", "6.5", "--set-i", "2,4", "--n", "20"]
+    assert cli.main(argv) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("ddperm: error: dd(I;n) = 0 for all computed n "
+                   "(I={2,4}, n <= 20)\n")
 
 
 @pytest.mark.parametrize("report_id", ["6.1", "6.2", "6.3", "6.4", "6.5", "3.2"])
@@ -471,6 +526,8 @@ _COMPUTING = {"ddperm." + m for m in _ROUTES}
     (("estimate", "--m", "6", "--n", "8"), {"counting"}),
     (("conjecture", "run", "--id", "6.2", "--n", "12"),
      {"conjectures", "counting"}),
+    (("conjecture", "run", "--id", "6.2", "--alpha", "1/3"), set()),
+    (("conjecture", "run", "--id", "6.4", "--set-i", "2,5"), set()),
     (("count", "--set", "2", "--n", "13", "--method", "brute"),
      {"bruteforce"}),
     (("count", "--set", "2", "--n", "6", "--all-methods"),
@@ -496,11 +553,6 @@ def test_subcommand_loads_only_its_modules(argv, computing):
 def test_set_parsing_unit():
     assert cli.parse_set_option("") == ()
     assert cli.parse_set_option("2,5") == (2, 5)
-    with pytest.raises(cli.UsageError):
-        cli.parse_set_option("5,2")
-    with pytest.raises(cli.UsageError):
-        cli.parse_set_option("2,2")
-    with pytest.raises(cli.UsageError):
-        cli.parse_set_option("0,2")
-    with pytest.raises(cli.UsageError):
-        cli.parse_set_option("a,b")
+    for text in ("5,2", "2,2", "0,2", "a,b"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.parse_set_option(text)

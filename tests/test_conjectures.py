@@ -277,10 +277,39 @@ def test_alternation_violation_names_the_first_failing_row(
     assert out == cj.report_text(report, "csv")
 
 
+def test_alternation_violation_json_witness(monkeypatch, capsys):
+    t = _break_singleton_table(monkeypatch, 12, {5: cj.singleton_table(12)[6]})
+    argv = ["conjecture", "run", "--id", "6.2", "--n", "12", "--format", "json"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == "verdict: VIOLATED\n"
+    data = json.loads(out)
+    assert data["verdict"] == "VIOLATED"
+    # exact values travel as strings, as in the rows
+    assert data["witness"] == {"n": "12", "i": "5", "left": str(t[5]),
+                               "right": str(t[6]), "expected": "<"}
+
+
 def test_ratio_table_report():
     report = cj.ratio_table_report()
     assert report.verdict is cj.Verdict.HOLDS_IN_RANGE
+    assert report.witness is None
     assert [row[0] for row in report.rows] == list(range(3, 10))
+
+
+def test_ratio_table_violation_names_the_first_failing_m(monkeypatch, capsys):
+    table = counting.DEFAULT_RATIO_TABLE
+    planted = table[5] + Fraction(1, 100)  # past the 0.005 tolerance
+    monkeypatch.setitem(table, 5, planted)
+    report = cj.ratio_table_report()
+    assert report.verdict is cj.Verdict.VIOLATED
+    assert report.witness == {"m": 5, "average": counting.ascent_ratio_average(5),
+                              "expected": planted}
+    assert [row[0] for row in report.rows if row[-1] == "FAIL"] == [5]
+    assert cli.main(["conjecture", "run", "--id", "3.2"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "verdict: VIOLATED\n"
+    assert out == cj.report_text(report, "csv")
 
 
 COUNT_COLUMNS = {"window_sum", "share_num", "share_den", "dd_i", "dd_i_plus_1",
