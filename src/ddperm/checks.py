@@ -128,14 +128,28 @@ def circular_rotation_counts():
                circular.count_no_cyclic_dd(n))
 
 
+def fraction_tail_notes(pairs) -> tuple[str, str]:
+    """The 6.4/6.5 tail notes of the ratios num/den in ``pairs`` by
+    Fraction arithmetic: the oracle for the reports' integer route."""
+    ratios = [Fraction(num, den) for num, den in pairs[-6:]]
+    diffs = [b - a for a, b in zip(ratios, ratios[1:])]
+    signs = "".join("+" if d > 0 else "-" if d < 0 else "=" for d in diffs)
+    tail = ratios[-5:]
+    return (f"tail sign pattern of successive differences: {signs or 'n/a'}",
+            f"max spread over last {len(tail)} rows: "
+            + decimal_str(max(tail) - min(tail), conjectures.PLACES))
+
+
 def conjecture_evidence():
     yield from map(_holds, map(conjectures.down_up_report, range(6, 31)))
     yield from map(_holds, map(conjectures.ratio_monotonicity_report, range(8, 31)))
     yield _holds(conjectures.ratio_table_report(12))
     report = conjectures.ratio_series_report((2,), (4,), 30)
-    tail = [Fraction(num, den) for _, num, den, _ in report.rows[-5:]]
+    pairs = [(num, den) for _, num, den, _ in report.rows]
+    tail = [Fraction(*pair) for pair in pairs[-5:]]
     spread = max(tail) - min(tail)
     yield f"6.4 tail spread {spread} < 1/100", spread < Fraction(1, 100), True
+    yield "6.4 tail notes vs Fraction", report.notes[:2], fraction_tail_notes(pairs)
     # evidence only: these reports never claim proof
     yield _holds(report, "INCONCLUSIVE")
 

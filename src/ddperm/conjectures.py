@@ -3,12 +3,12 @@
 Everything here is a finite-n harness: it can refute a statement with a
 concrete witness or support it over the computed range, never prove it.
 The three-valued verdict is part of the report type so downstream
-tooling cannot upgrade evidence into proof.  All comparisons are exact
-(integer cross-multiplication, Fractions).  Count cells hold exact
-ints, turned into text only by :func:`report_text`; decimals in the
-rows are renderings only, each by one integer division of the row's own
-numerator and denominator.  Fractions are built only where a verdict or
-a tail summary compares values across rows.
+tooling cannot upgrade evidence into proof.  Count cells hold exact
+ints, turned into text only by :func:`report_text`; decimals in the rows
+are renderings only, each by one integer division of the row's own
+numerator and denominator.  Verdicts and tail summaries compare those
+(numerator, positive denominator) pairs by integer cross-multiplication;
+Fractions remain only for the 6.1 window bounds and the 3.2 averages.
 
 The reports come in three shapes: the 6.1 sweep, which sums one
 singleton row per length and is capped at ``EQUIDIST_CAP``; the 6.2/6.3
@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 from typing import Iterable
 
@@ -39,6 +40,10 @@ DEFAULT_SWEEP_MAX = 30
 # products of O(n log n)-bit integers in all; n = 400 takes about
 # 0.25 s on a 2-vCPU VM.
 EQUIDIST_CAP = 400
+
+
+# orders (num, den) pairs with den > 0 by the value num/den
+_BY_VALUE = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])
 
 
 class Verdict(enum.Enum):
@@ -126,7 +131,7 @@ def equidistribution_report(n: int, alpha: Fraction, beta: Fraction,
         raise ValueError(f"the 6.1 sweep needs n >= n_min = {n_min}, got n={n}")
     width = beta - alpha
     rows = []
-    pairs: list[tuple[int, int]] = []  # inside/share as (num, den)
+    devs: list[tuple[int, int]] = []  # |inside/share - 1| as (num, den)
     for m in range(n_min, n + 1):
         lo, hi = _window_bounds(alpha, beta, m)
         # values[i - 2] = dd({i}; m)
@@ -140,17 +145,17 @@ def equidistribution_report(n: int, alpha: Fraction, beta: Fraction,
         g = gcd(total, width.denominator)
         share_num = width.numerator * total // g
         share_den = width.denominator // g
-        pairs.append((inside * share_den, share_num))
+        devs.append((abs(inside * share_den - share_num), share_num))
         rows.append(
             (m, inside, share_num, share_den,
              ratio_str(inside * share_den, share_num, PLACES), "")
         )
-    if len(pairs) >= 2:
-        head_dev = max(abs(Fraction(*pair) - 1) for pair in pairs[: len(pairs) // 2])
-        last_dev = abs(Fraction(*pairs[-1]) - 1)
-        supported = last_dev <= Fraction(1, 5) and last_dev <= head_dev
-    else:
-        supported = False
+    supported = False
+    if len(devs) >= 2:
+        head_num, head_den = max(devs[: len(devs) // 2], key=_BY_VALUE)
+        last_num, last_den = devs[-1]
+        supported = (5 * last_num <= last_den
+                     and last_num * head_den <= head_num * last_den)
     verdict = Verdict.HOLDS_IN_RANGE if supported else Verdict.INCONCLUSIVE
     return ConjectureReport(
         conjecture_id="6.1",
@@ -246,11 +251,6 @@ def ratio_series_report(set_i: Iterable[int], set_j: Iterable[int],
     start = max(next(n for n, v in enumerate(c) if v) for c in (nums, dens))
     rows = tuple((n, nums[n], dens[n], ratio_str(nums[n], dens[n], PLACES))
                  for n in range(start, n_max + 1))
-    ratios = [Fraction(num, den) for _, num, den, _ in rows[-6:]]
-    tail = ratios[-5:]
-    spread = max(tail) - min(tail)
-    diffs = [b - a for a, b in zip(ratios, ratios[1:])]
-    signs = "".join("+" if d > 0 else "-" if d < 0 else "=" for d in diffs[-5:])
     return ConjectureReport(
         conjecture_id=conjecture_id,
         n_range=(start, n_max),
@@ -258,11 +258,25 @@ def ratio_series_report(set_i: Iterable[int], set_j: Iterable[int],
         rows=rows,
         verdict=Verdict.INCONCLUSIVE,
         notes=(
-            f"tail sign pattern of successive differences: {signs or 'n/a'}",
-            f"max spread over last {len(tail)} rows: {decimal_str(spread, PLACES)}",
+            *_tail_notes([(num, den) for _, num, den, _ in rows[-6:]]),
             "INCONCLUSIVE by design: finite data cannot establish a limit",
         ),
     )
+
+
+def _tail_notes(pairs: list[tuple[int, int]]) -> tuple[str, str]:
+    """The 6.4/6.5 tail notes for the last six (or fewer) ratios, given
+    as (num, den) pairs with den > 0: the signs of their successive
+    differences and the spread of the last five, compared by
+    cross-multiplication."""
+    diffs = (c * b - a * d for (a, b), (c, d) in zip(pairs, pairs[1:]))
+    signs = "".join("+" if x > 0 else "-" if x < 0 else "=" for x in diffs)
+    tail = pairs[-5:]
+    hi_num, hi_den = max(tail, key=_BY_VALUE)
+    lo_num, lo_den = min(tail, key=_BY_VALUE)
+    spread = ratio_str(hi_num * lo_den - lo_num * hi_den, hi_den * lo_den, PLACES)
+    return (f"tail sign pattern of successive differences: {signs or 'n/a'}",
+            f"max spread over last {len(tail)} rows: {spread}")
 
 
 def ratio_table_report(n_max: int = 12) -> ConjectureReport:

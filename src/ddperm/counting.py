@@ -81,7 +81,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Iterator
 
 from . import errors
@@ -224,11 +224,16 @@ def _column(dd_set: Iterable[int], n_max: int, initial_ascent: bool) -> list[int
     binomials = totals = [0] * (n_max - top)
     for t, (x, y) in enumerate(zip(*_set_coefficients(indices, initial_ascent))):
         binomials = list(accumulate(binomials[:-1], initial=comb(top + 1, t)))
-        # zero coefficients, a third or more of each list, add no products
+        # zero coefficients, a third or more of each list, add no products;
+        # neither do coefficients of +-1 (-1 subtracts) nor C(n, 0) = 1
         for coefficient, column in (x, free), (y, ascent):
             if coefficient:
-                terms = map(coefficient.__mul__, column[top + 1 - t:n_max + 1 - t])
-                totals = list(map(add, totals, map(mul, binomials, terms)))
+                terms = column[top + 1 - t:n_max + 1 - t]
+                if abs(coefficient) != 1:
+                    terms = map(coefficient.__mul__, terms)
+                if t:
+                    terms = map(mul, binomials, terms)
+                totals = list(map(sub if coefficient == -1 else add, totals, terms))
     return [0] * (top + 1) + totals
 
 

@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import all_index_sets
 from ddperm import bruteforce as bf
 from ddperm import conjectures as cj
-from ddperm import cli, counting, errors
+from ddperm import checks, cli, counting, errors
 from ddperm.errors import CapExceeded
 from ddperm.render import decimal_str
 
@@ -228,6 +230,68 @@ def test_ratio_series_tail_spread_shrinks():
     # the note quotes the spread of the report's own last five rows
     assert late.notes[1] == ("max spread over last 5 rows: "
                              + decimal_str(_tail_spread(late), cj.PLACES))
+
+
+# small entries, so that equal ratios, unreduced ones among them, are common
+@given(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)),
+                min_size=1, max_size=6))
+def test_tail_notes_match_the_fraction_oracle(pairs):
+    assert cj._tail_notes(pairs) == checks.fraction_tail_notes(pairs)
+
+
+@pytest.mark.parametrize("pairs, signs, spread", [
+    ([(3, 7)], "n/a", "last 1 rows: 0.0000000000"),
+    ([(2, 4), (1, 2)], "=", "last 2 rows: 0.0000000000"),
+    ([(5, 3), (10, 6), (15, 9), (20, 12), (25, 15), (30, 18)], "=====",
+     "last 5 rows: 0.0000000000"),
+    ([(1, 2), (2, 3), (2, 4), (3, 4), (9, 12), (1, 3)], "+-+=-",
+     "last 5 rows: 0.4166666667"),
+    ([(10**30 + 1, 10**30), (1, 1), (2 * 10**30 + 1, 2 * 10**30)], "-+",
+     "last 3 rows: 0.0000000000"),
+])
+def test_tail_notes_at_equal_ratios_and_short_tails(pairs, signs, spread):
+    assert cj._tail_notes(pairs) == (
+        f"tail sign pattern of successive differences: {signs}",
+        f"max spread over {spread}")
+
+
+def _plant_window_ratios(monkeypatch, ratios):
+    """Serve singleton rows for m = 4, 5, ... whose (1/4, 3/4) window
+    ratio is p/q for (p, q) = ratios[m - 4]: p at the window's first
+    position and 2q - p at the last position, outside it, so the window
+    sum is p and its share (1/2) * 2q = q."""
+    def values(m):
+        p, q = ratios[m - 4]
+        row = [0] * (m - 2)
+        row[cj._window_bounds(Fraction(1, 4), Fraction(3, 4), m)[0] - 2] = p
+        row[-1] = 2 * q - p
+        return row
+    monkeypatch.setattr(counting, "dd_singleton_values", values)
+
+
+BIG = 10**30
+
+
+@pytest.mark.parametrize("ratios, holds", [
+    # the last deviation at the 1/5 bound, from above and below 1, and
+    # just past it (the head's worst deviation, 1/4, never binds)
+    ([(3, 4), (5, 4), (1, 1), (6, 5)], True),
+    ([(3, 4), (5, 4), (1, 1), (8, 10)], True),
+    ([(3, 4), (5, 4), (1, 1), (6 * BIG + 1, 5 * BIG)], False),
+    ([(3, 4), (5, 4), (1, 1), (4 * BIG - 1, 5 * BIG)], False),
+    # the last deviation at the worst of the head, 1/8, and just past it
+    ([(11, 10), (7, 8), (1, 1), (9, 8)], True),
+    ([(11, 10), (7, 8), (1, 1), (14, 16)], True),
+    ([(11, 10), (7, 8), (1, 1), (9 * BIG + 1, 8 * BIG)], False),
+    ([(11, 10), (7, 8), (1, 1), (7 * BIG - 1, 8 * BIG)], False),
+])
+def test_equidistribution_verdict_at_its_bounds(monkeypatch, ratios, holds):
+    _plant_window_ratios(monkeypatch, ratios)
+    report = cj.equidistribution_report(7, Fraction(1, 4), Fraction(3, 4))
+    for row, (p, q) in zip(report.rows, ratios):
+        assert Fraction(row[1] * row[3], row[2]) == Fraction(p, q)
+    expected = cj.Verdict.HOLDS_IN_RANGE if holds else cj.Verdict.INCONCLUSIVE
+    assert report.verdict is expected
 
 
 def test_counts_stay_positive_once_realizable():
