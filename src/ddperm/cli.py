@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 # computing modules are imported where used: a run compiles only its own
 from .errors import CapExceeded
@@ -235,6 +234,7 @@ def cmd_conjecture(args) -> int:
         return default if args.n is None else args.n
 
     if args.id == "6.1":
+        from fractions import Fraction
         report = conjectures.equidistribution_report(
             size(30),
             Fraction(1, 4) if args.alpha is None else Fraction(args.alpha),

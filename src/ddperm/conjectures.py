@@ -20,11 +20,10 @@ ratio series, whose tail summary reads the report's own count cells.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import counting
 from .perms import as_index_set
@@ -52,15 +51,16 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
+    """One evidence report; a tuple class, so also a plain tuple of its fields."""
+
     conjecture_id: str
     n_range: tuple[int, int]
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
     verdict: Verdict
     witness: dict | None = None
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
         """JSON form; every numeric cell is a string so arbitrarily

@@ -8,18 +8,18 @@ bytes and no float ever enters a report.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def round_half_even(x: Fraction) -> int:
-    """Nearest integer, ties to even."""
-    floor = x.numerator // x.denominator
-    rem = x - floor
-    if rem > Fraction(1, 2):
+    """Nearest integer, ties to even, by one integer division."""
+    floor, rem = divmod(x.numerator, x.denominator)
+    if 2 * rem > x.denominator or (2 * rem == x.denominator and floor % 2):
         return floor + 1
-    if rem < Fraction(1, 2):
-        return floor
-    return floor if floor % 2 == 0 else floor + 1
+    return floor
 
 
 def set_str(indices) -> str:
@@ -29,7 +29,6 @@ def set_str(indices) -> str:
 
 def decimal_str(x: Fraction | int, places: int = 6) -> str:
     """Fixed-point decimal rendering with the given number of places."""
-    x = Fraction(x)
     return ratio_str(x.numerator, x.denominator, places)
 
 

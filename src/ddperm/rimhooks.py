@@ -16,7 +16,7 @@ the row lengths.  The outer/inner partition pair is derived.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
@@ -47,17 +47,17 @@ class SkewValidationError(ValueError):
     malformed partitions)."""
 
 
-@dataclass(frozen=True)
-class RimHook:
-    """Row lengths from the bottom row to the top row."""
+class RimHook(namedtuple("RimHook", "rows")):
+    """Row lengths from the bottom row to the top row; also the 1-tuple (rows,)."""
 
-    rows: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.rows:
+    def __new__(cls, rows: tuple[int, ...]):
+        if not rows:
             raise ValueError("a rim hook has at least one row")
-        if any(not isinstance(r, int) or r < 1 for r in self.rows):
-            raise ValueError(f"row lengths must be positive integers: {self.rows!r}")
+        if any(not isinstance(r, int) or r < 1 for r in rows):
+            raise ValueError(f"row lengths must be positive integers: {rows!r}")
+        return super().__new__(cls, rows)
 
     @property
     def length(self) -> int:

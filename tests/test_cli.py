@@ -448,18 +448,21 @@ def test_arithmetic_errors_exit_with_one_line(monkeypatch, capsys,
     assert err == prefix + "planted\n"
 
 
-_NUMPY_PROBE = """
+_STDLIB_PROBE = """
 import contextlib, io, sys
 import ddperm, ddperm.cli
 code = None
 if len(sys.argv) > 1:
     with contextlib.redirect_stdout(io.StringIO()):
         code = ddperm.cli.main(sys.argv[1:])
-print(code, "numpy" in sys.modules, "ddperm.checks" in sys.modules,
-      "json" in sys.modules)
+print(code, *(m for m in ("numpy", "dataclasses", "inspect", "fractions", "json",
+                          "ddperm.checks", "ddperm.counting", "ddperm.conjectures")
+              if m in sys.modules))
 """
 
 
+# numpy stays one column of this stdlib probe: since the bit-sliced census,
+# no subcommand loads it, and loads_numpy is False in every row
 @pytest.mark.parametrize("argv, code, loads_numpy", [
     ((), None, False),
     (("count", "--set", "6", "--n", "9"), 0, False),
@@ -479,14 +482,19 @@ print(code, "numpy" in sys.modules, "ddperm.checks" in sys.modules,
     (("table", "--family", "b", "--to", "10", "--format", "json"), 0, False),
 ])
 def test_numpy_loads_only_for_sweeps(argv, code, loads_numpy):
-    loads_checks = argv == ("selftest",)
-    loads_json = "json" in argv
+    # a CLI child loads only the standard library it computes with
     result = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, *argv],
+        [sys.executable, "-c", _STDLIB_PROBE, *argv],
         capture_output=True, text=True,
     )
-    expected = f"{code} {loads_numpy} {loads_checks} {loads_json}\n"
-    assert result.stdout == expected, result.stderr
+    exit_code, *loaded = result.stdout.split()
+    assert exit_code == str(code), result.stderr
+    assert ("numpy" in loaded) == loads_numpy
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+    computes = {"ddperm.counting", "ddperm.conjectures", "ddperm.checks"}
+    assert "fractions" not in loaded or computes & set(loaded)
+    assert ("json" in loaded) == ("json" in argv)
+    assert ("ddperm.checks" in loaded) == (argv == ("selftest",))
 
 
 _IMPORT_PROBE = """
@@ -499,7 +507,8 @@ elif len(sys.argv) > 1:
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
         cli.main(sys.argv[1:])
-print(*sorted(m for m in sys.modules if m.split(".")[0] == "ddperm"))
+print(*sorted(m for m in sys.modules
+              if m.split(".")[0] in ("ddperm", "dataclasses", "inspect")))
 """
 
 _ROUTES = ("bruteforce", "checks", "circular", "conjectures", "counting",
@@ -533,6 +542,8 @@ _COMPUTING = {"ddperm." + m for m in _ROUTES}
     (("count", "--set", "2", "--n", "6", "--all-methods"),
      {"counting", "bruteforce", "rimhooks"}),
     (("selftest",), set(_ROUTES)),
+    # a rim hook is a tuple class: no dataclasses (nor the inspect they load)
+    (("--import", "ddperm.rimhooks"), {"errors", "perms", "render", "rimhooks"}),
 ])
 def test_subcommand_loads_only_its_modules(argv, computing):
     # a CLI child compiles every module it loads (no bytecode cache is
@@ -543,6 +554,7 @@ def test_subcommand_loads_only_its_modules(argv, computing):
     )
     loaded = set(result.stdout.split())
     assert result.returncode == 0, result.stderr
+    assert not loaded & {"dataclasses", "inspect"}
     expected = {"ddperm." + m for m in computing or ()}
     if computing is None or argv[0] == "--import":  # exactly these modules
         assert loaded == {"ddperm"} | expected

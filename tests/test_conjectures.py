@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -427,3 +428,36 @@ def test_report_bytes_are_deterministic():
     ja, jb = (cj.report_text(cj.equidistribution_report(
         12, Fraction(1, 4), Fraction(3, 4)), "json").encode() for _ in range(2))
     assert ja == jb
+
+
+# sha256 prefixes of json.dumps(report.to_json_dict()), taken from the
+# dataclass form of ConjectureReport: the tuple class serializes the same
+@pytest.mark.parametrize("build, digest", [
+    (lambda: cj.equidistribution_report(7, Fraction(1, 4), Fraction(3, 4)),
+     "7f8ddf8c403bae0a"),
+    (lambda: cj.down_up_report(8), "4443afbfaf61cad5"),
+    (lambda: cj.ratio_monotonicity_report(9), "6bd9a9eb0f4e4241"),
+    (lambda: cj.ratio_series_report((2,), (4,), 8, conjecture_id="6.4"),
+     "b1a4e80e89704360"),
+    (lambda: cj.ratio_series_report((), (2, 5), 8), "f5f6ace69f1772fc"),
+    (lambda: cj.ratio_table_report(), "77f471a64fa2c94c"),
+])
+def test_report_json_dict_is_unchanged(build, digest):
+    text = json.dumps(build().to_json_dict()).encode()
+    assert hashlib.sha256(text).hexdigest()[:16] == digest
+
+
+def test_report_is_a_value_type():
+    report, again = cj.down_up_report(8), cj.down_up_report(8)
+    assert report == again and hash(report) == hash(again)
+    assert report == tuple(report)  # a tuple class: iterable, tuple-comparable
+    assert repr(report) == (
+        "ConjectureReport(conjecture_id='6.2', n_range=(8, 8), columns=('n', "
+        "'i', 'dd_i', 'dd_i_plus_1', 'expected', 'status'), rows=((8, 2, 2778, "
+        "2491, '>', 'pass'), (8, 3, 2491, 2904, '<', 'pass')), "
+        "verdict=<Verdict.HOLDS_IN_RANGE: 'HOLDS-IN-RANGE'>, witness=None, "
+        "notes=())")
+    with pytest.raises(AttributeError):
+        report.verdict = cj.Verdict.VIOLATED
+    bare = cj.ConjectureReport("6.2", (8, 8), (), (), cj.Verdict.INCONCLUSIVE)
+    assert bare.witness is None and bare.notes == ()

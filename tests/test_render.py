@@ -7,12 +7,36 @@ from hypothesis import strategies as st
 from ddperm.render import csv_text, decimal_str, percent_str, ratio_str, round_half_even
 
 
+def _fraction_round(x: Fraction) -> int:
+    # the Fraction-comparison rounding that round_half_even replaced
+    floor = x.numerator // x.denominator
+    rem = x - floor
+    if rem > Fraction(1, 2):
+        return floor + 1
+    if rem < Fraction(1, 2):
+        return floor
+    return floor if floor % 2 == 0 else floor + 1
+
+
 def test_round_half_even():
     assert round_half_even(Fraction(5, 2)) == 2
     assert round_half_even(Fraction(7, 2)) == 4
     assert round_half_even(Fraction(-5, 2)) == -2
     assert round_half_even(Fraction(1, 3)) == 0
     assert round_half_even(Fraction(2, 3)) == 1
+    # ties at +-1/2 and +-3/2, and negative non-ties on both sides of -1/2
+    for x, want in [((1, 2), 0), ((-1, 2), 0), ((3, 2), 2), ((-3, 2), -2),
+                    ((-1, 3), 0), ((-2, 3), -1), ((-7, 3), -2), ((-8, 3), -3)]:
+        assert round_half_even(Fraction(*x)) == want == _fraction_round(Fraction(*x))
+    assert round_half_even(7) == 7
+
+
+@given(st.integers(-10**40, 10**40), st.integers(1, 10**15))
+def test_round_half_even_matches_fraction_rounding(num, den):
+    x = Fraction(num, den)
+    assert round_half_even(x) == _fraction_round(x)
+    tie = Fraction(2 * num + 1, 2)  # every half-integer, both signs
+    assert round_half_even(tie) == _fraction_round(tie)
 
 
 def test_decimal_str():
@@ -25,7 +49,7 @@ def test_decimal_str():
 
 def _fraction_decimal(x: Fraction, places: int) -> str:
     # the Fraction multiply-and-compare rendering that ratio_str replaced
-    scaled = round_half_even(x * 10**places)
+    scaled = _fraction_round(x * 10**places)
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(places + 1, "0")
     return sign + (digits if places == 0 else f"{digits[:-places]}.{digits[-places:]}")

@@ -391,3 +391,16 @@ def test_rimhook_validation():
         rh.RimHook((0, 2))
     with pytest.raises(ValueError):
         rh.from_descents((4,), 3)
+
+
+def test_rimhook_is_a_value_type():
+    hook = rh.RimHook((2, 3))
+    assert hook == rh.RimHook(rows=(2, 3)) and hash(hook) == hash(rh.RimHook((2, 3)))
+    assert hook != rh.RimHook((3, 2))
+    assert hook == ((2, 3),) and tuple(hook) == ((2, 3),)  # a 1-tuple class
+    assert repr(hook) == "RimHook(rows=(2, 3))"
+    assert str(hook) == "(4,2)/(1)"
+    with pytest.raises(AttributeError):
+        hook.rows = (5,)
+    with pytest.raises(AttributeError):
+        hook.extra = 1  # no instance dict
