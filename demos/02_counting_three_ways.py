@@ -41,4 +41,4 @@ estimate = counting.dd_singleton_estimate(6, 8)
 exact = counting.dd_count((6,), 9)
 print("ratio-table estimate:", decimal_str(estimate, 3))
 print("exact value:         ", exact)
-print("off by:              ", percent_str(abs(estimate - exact) / exact, 2))
+print("off by:              ", percent_str(abs(estimate - exact) / exact))

@@ -20,10 +20,9 @@ from importlib import import_module
 
 # public name -> the submodule that defines it
 _HOME = {
-    **dict.fromkeys(("descent_set", "double_descent_set", "peak_set",
-                     "has_initial_ascent"), "perms"),
+    **dict.fromkeys(("descent_set", "double_descent_set", "peak_set"), "perms"),
     **dict.fromkeys(("dd_count", "dd_ascent_count", "dd_counts",
-                     "dd_ascent_counts", "dd_singleton_row", "no_dd_counts",
+                     "dd_ascent_counts", "dd_singleton_values", "no_dd_counts",
                      "no_dd_ascent_counts", "dd_singleton_recursion",
                      "dd_singleton_estimate", "ascent_ratio_average"),
                     "counting"),

@@ -60,7 +60,7 @@ def known_values():
 def estimator_digits():
     estimate = counting.dd_singleton_estimate(6, 8)
     yield "estimate of dd({6};9)", decimal_str(estimate, 3), "22419.118"
-    error = percent_str(abs(estimate - 22419) / 22419, 2)
+    error = percent_str(abs(estimate - 22419) / 22419)
     yield "its relative error", error, "0.00053%"
 
 
@@ -186,21 +186,21 @@ def conjecture_evidence_at_large_n():
 
 def singleton_row_vs_dp():
     for n, positions in ((120, range(2, 120)), (300, (*range(2, 8), 149, 150))):
-        row = counting.dd_singleton_row(n)
+        row = conjectures.singleton_table(n)
         for m in positions:
             yield f"row vs dp for dd({{{m}}};{n})", row[m], counting.dd_count((m,), n)
     # each 6.1 row's (window sum, total), the total read back from its
     # share (beta - alpha) * total; None for a row marked empty
     censuses = [bruteforce.dd_census(n) for n in range(11)]
     for alpha, beta in EQUIDIST_WINDOWS:
-        report = conjectures.equidistribution_report(10, alpha, beta, n_min=1)
-        for (m, inside, num, den, *_), census in zip(report.rows, censuses[1:]):
+        report = conjectures.equidistribution_report(10, alpha, beta)
+        for (m, inside, num, den, *_), census in zip(report.rows, censuses[4:]):
             row = {i: census.get((i,), 0) for i in range(2, m)}
             window = [v for i, v in row.items() if alpha * m < i < beta * m]
             total = sum(row.values())
             yield (f"6.1 window sum and total at n={m}, window ({alpha}, {beta})",
                    (inside, Fraction(num, den) / (beta - alpha)) if inside != "" else None,
-                   (sum(window), total) if window and total else None)
+                   (sum(window), total) if window else None)
 
 
 def set_columns_vs_dp():

@@ -23,16 +23,6 @@ def rotate(w: Iterable[int]) -> Perm:
     return (word[-1],) + word[:-1]
 
 
-def canonical_rotation(w: Iterable[int]) -> Perm:
-    """The unique rotation of w whose first entry is n."""
-    word = check_permutation(w)
-    if not word:
-        raise ValueError("the empty permutation has no rotation class")
-    n = len(word)
-    k = word.index(n)
-    return word[k:] + word[:k]
-
-
 def cyclic_double_descent_set(w: Iterable[int]) -> IndexSet:
     """Positions i in [1, n] with w_{i-1} > w_i > w_{i+1}, indices mod n.
 

@@ -138,15 +138,18 @@ def cmd_rimhook_count(args) -> int:
     from . import bruteforce
     if n - 1 <= bruteforce.DEFAULT_MASK_CAP:
         value, method = bruteforce.count_rimhooks_exact(indices, n), "enumeration"
-    elif len(indices) > 1:
-        raise CapExceeded(
-            f"no formula for {set_str(indices)} and n={n} is beyond the "
-            "enumeration cap"
-        )
     else:
         from . import rimhooks
-        value = (rimhooks.count_singleton(indices[0], n) if indices
-                 else rimhooks.count_empty(n))
+        if any(i >= n for i in indices) or not rimhooks.realizable(indices):
+            value = 0  # no rim hook of length n has this set
+        elif len(indices) > 1:
+            raise CapExceeded(
+                f"no formula for {set_str(indices)} and n={n} is beyond the "
+                "enumeration cap"
+            )
+        else:
+            value = (rimhooks.count_singleton(indices[0], n) if indices
+                     else rimhooks.count_empty(n))
         method = "formula"
     print(f"R({set_str(indices)};{n}) = {value}  [method: {method}]")
     return EXIT_OK
@@ -214,7 +217,7 @@ def cmd_estimate(args) -> int:
     print(f"estimate dd({{{args.m}}};{args.n + 1}) = {decimal_str(estimate, 3)}")
     exact = counting.dd_count((args.m,), args.n + 1)  # > 0 for 2 <= m <= n
     print(f"exact    dd({{{args.m}}};{args.n + 1}) = {exact}")
-    print(f"relative error = {percent_str(abs(estimate - exact) / exact, 2)}")
+    print(f"relative error = {percent_str(abs(estimate - exact) / exact)}")
     return EXIT_OK
 
 

@@ -93,8 +93,8 @@ def report_text(report: ConjectureReport, fmt: str) -> str:
 
 def singleton_table(n: int) -> dict[int, int]:
     """{i: dd({i}; n)} for all singleton positions, in O(n) products
-    (:func:`ddperm.counting.dd_singleton_row`)."""
-    return counting.dd_singleton_row(n)
+    (:func:`ddperm.counting.dd_singleton_values` keyed by position)."""
+    return dict(zip(range(2, n), counting.dd_singleton_values(n)))
 
 
 def _window_bounds(alpha: Fraction, beta: Fraction, m: int) -> tuple[int, int]:
@@ -105,13 +105,13 @@ def _window_bounds(alpha: Fraction, beta: Fraction, m: int) -> tuple[int, int]:
     return max(lo, 2), min(hi, m - 1)
 
 
-def equidistribution_report(n: int, alpha: Fraction, beta: Fraction,
-                            n_min: int = 4) -> ConjectureReport:
+def equidistribution_report(n: int, alpha: Fraction,
+                            beta: Fraction) -> ConjectureReport:
     """Equidistribution evidence (report id 6.1): the singleton counts
     with alpha*n < i < beta*n should carry a (beta - alpha) share of
     the total as n grows.
 
-    Sweeps n_min..n (n < n_min raises ``ValueError``), reading every
+    Sweeps 4..n (n < 4 raises ``ValueError``), reading every
     length's total and window sum from its singleton row; rows with no
     integer i in the open window are marked empty.  The verdict is
     supportive when the final ratio sits within [0.8, 1.2] and is no
@@ -124,20 +124,20 @@ def equidistribution_report(n: int, alpha: Fraction, beta: Fraction,
         raise ValueError("need 0 < alpha < beta < 1")
     if n > EQUIDIST_CAP:
         raise CapExceeded(
-            f"6.1 sweep to n={n}: {n - n_min + 1} lengths exceed "
+            f"6.1 sweep to n={n}: {n - 3} lengths exceed "
             f"the cap n={EQUIDIST_CAP}"
         )
-    if n < n_min:
-        raise ValueError(f"the 6.1 sweep needs n >= n_min = {n_min}, got n={n}")
+    if n < 4:
+        raise ValueError(f"the 6.1 sweep needs n >= 4, got n={n}")
     width = beta - alpha
     rows = []
     devs: list[tuple[int, int]] = []  # |inside/share - 1| as (num, den)
-    for m in range(n_min, n + 1):
+    for m in range(4, n + 1):
         lo, hi = _window_bounds(alpha, beta, m)
         # values[i - 2] = dd({i}; m)
         values = counting.dd_singleton_values(m)
         total = sum(values)
-        if lo > hi or total == 0:
+        if lo > hi:
             rows.append((m, "", "", "", "", "empty"))
             continue
         inside = sum(values[lo - 2:hi - 1])
@@ -159,7 +159,7 @@ def equidistribution_report(n: int, alpha: Fraction, beta: Fraction,
     verdict = Verdict.HOLDS_IN_RANGE if supported else Verdict.INCONCLUSIVE
     return ConjectureReport(
         conjecture_id="6.1",
-        n_range=(n_min, n),
+        n_range=(4, n),
         columns=("n", "window_sum", "share_num", "share_den", "ratio", "note"),
         rows=tuple(rows),
         verdict=verdict,

@@ -16,7 +16,7 @@ grow on demand, once per process, from one pass: reverse-complement
 keeps double descents and turns w_1 < w_2 into w_(n-1) < w_n, so a(n)
 counts the no-double-descent words of length n ending in an ascent.
 
-:func:`dd_singleton_row` gives dd({m}; n) for every m at once in O(n)
+:func:`dd_singleton_values` gives dd({m}; n) for every m at once in O(n)
 big-integer products, by a closed form in the two empty-set columns
 (the cluster method of Goulden and Jackson, as used by Elizalde and
 Noy, "Consecutive patterns in permutations", 2003).  Let F(k) =
@@ -287,13 +287,6 @@ def dd_singleton_values(n: int) -> list[int]:
     half = _singleton_half_row(n, *_empty_columns(n))
     # m > ceil(n/2) mirrors n + 1 - m; odd n keeps the middle entry once
     return half + half[-1 - n % 2::-1]
-
-
-def dd_singleton_row(n: int) -> dict[int, int]:
-    """{m: dd({m}; n)} for m = 2..n-1, the entries of
-    :func:`dd_singleton_values` keyed by position.  Each call returns a
-    fresh dict."""
-    return dict(zip(range(2, n), dd_singleton_values(n)))
 
 
 def no_dd_ascent_counts(n_max: int) -> list[int]:

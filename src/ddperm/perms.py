@@ -72,12 +72,3 @@ def peak_set(w: Iterable[int]) -> IndexSet:
     return tuple(
         i for i in range(2, n) if word[i - 2] < word[i - 1] > word[i]
     )
-
-
-def has_initial_ascent(w: Iterable[int]) -> bool:
-    """True iff w_1 < w_2.  Undefined (ValueError) for length < 2;
-    callers own the n <= 1 conventions."""
-    word = check_permutation(w)
-    if len(word) < 2:
-        raise ValueError("initial ascent needs at least two entries")
-    return word[0] < word[1]

@@ -48,11 +48,9 @@ def ratio_str(num: int, den: int, places: int = 6) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-def percent_str(x: Fraction, sig_figs: int = 2) -> str:
-    """x rendered as a percentage with the given significant figures,
+def percent_str(x: Fraction) -> str:
+    """x rendered as a percentage to two significant figures,
     e.g. Fraction(1184, 10000*22419) -> '0.00053%'."""
-    if sig_figs < 1:
-        raise ValueError("need at least one significant figure")
     p = x * 100
     if p == 0:
         return "0%"
@@ -65,8 +63,8 @@ def percent_str(x: Fraction, sig_figs: int = 2) -> str:
     while p < 1:
         p *= 10
         exponent -= 1
-    mantissa = round_half_even(p * 10 ** (sig_figs - 1))
-    if mantissa >= 10**sig_figs:  # rounding carried over, e.g. 9.97 -> 10
+    mantissa = round_half_even(p * 10)
+    if mantissa >= 100:  # rounding carried over, e.g. 9.97 -> 10
         mantissa //= 10
         exponent += 1
     digits = str(mantissa)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
 
@@ -206,7 +205,6 @@ def enumerate_rimhooks(dd_set: Iterable[int], n: int) -> list[RimHook]:
     return [from_descents(des[::-1], n) for des in partial]
 
 
-@lru_cache(maxsize=None)
 def fibonacci(k: int) -> int:
     """F_1 = F_2 = 1 convention; F_0 = 0."""
     if k < 0:

@@ -8,6 +8,8 @@ pass/fail line with its runtime; run with
 
 import time
 
+import pytest
+
 from ddperm.checks import CHECKS
 
 
@@ -41,30 +43,12 @@ BUDGETS = {  # seconds
 }
 
 
-def _acceptance_test(name: str):
-    def test():
-        with _Timer(name, BUDGETS[name]):
-            witness = CHECKS[name]()
-            assert witness is None, f"{name}: {witness}"
-    return test
-
-
 def test_every_check_has_a_budget():
     assert BUDGETS.keys() == CHECKS.keys()
 
 
-test_1_known_value_regression = _acceptance_test("known-values")
-test_2_estimator_digits = _acceptance_test("estimator-digits")
-test_3_singleton_recursion_grid = _acceptance_test("singleton-recursion")
-test_4_generating_function_coefficients = _acceptance_test(
-    "generating-function-coefficients")
-test_5_rimhook_count_formulas = _acceptance_test("rimhook-fibonacci-formulas")
-test_6_tableau_sum_identity_and_bounds = _acceptance_test(
-    "tableau-sum-identity-and-bounds")
-test_7_circular_rotation_classes = _acceptance_test("circular-rotation-counts")
-test_8_conjecture_evidence = _acceptance_test("conjecture-evidence")
-test_9_cross_method_equivalence = _acceptance_test("cross-method-equivalence")
-test_10_conjecture_evidence_at_large_n = _acceptance_test(
-    "conjecture-evidence-at-large-n")
-test_11_singleton_row_vs_dp = _acceptance_test("singleton-row-vs-dp")
-test_12_set_columns_vs_dp = _acceptance_test("set-columns-vs-dp")
+@pytest.mark.parametrize("name", CHECKS)
+def test_check_within_budget(name):
+    with _Timer(name, BUDGETS[name]):
+        witness = CHECKS[name]()
+        assert witness is None, f"{name}: {witness}"

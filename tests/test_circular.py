@@ -17,27 +17,6 @@ def test_rotate():
             assert v == w
 
 
-def test_canonical_rotation():
-    assert cp.canonical_rotation((1, 4, 2, 3)) == (4, 2, 3, 1)
-    for n in range(1, 7):
-        for w in itertools.permutations(range(1, n + 1)):
-            canon = cp.canonical_rotation(w)
-            assert canon[0] == n
-            # canonical form is rotation-invariant
-            assert cp.canonical_rotation(cp.rotate(w)) == canon
-
-
-def test_class_count():
-    import math
-
-    for n in range(1, 8):
-        classes = {
-            cp.canonical_rotation(w)
-            for w in itertools.permutations(range(1, n + 1))
-        }
-        assert len(classes) == math.factorial(n - 1)
-
-
 def test_cyclic_double_descent_set():
     assert cp.cyclic_double_descent_set((4, 2, 1, 3)) == (2,)
     for n in range(3, 8):

@@ -182,6 +182,16 @@ def test_rimhook_count_methods():
     result = run_cli("rimhook", "count", "--set", "2", "--length", "40")
     assert result.returncode == 0
     assert "[method: formula]" in result.stdout
+    # a set no rim hook encodes counts 0 on both sides of the mask-scan cap
+    for indices, n, method in (("1", 10, "enumeration"), ("1", 30, "formula"),
+                               ("40", 30, "formula"), ("2,4", 30, "formula")):
+        result = run_cli("rimhook", "count", "--set", indices, "--length", str(n))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"R({{{indices}}};{n}) = 0  [method: {method}]\n"
+    # past the cap, a realizable set of two or more positions has no formula
+    result = run_cli("rimhook", "count", "--set", "2,5", "--length", "40")
+    assert result.returncode == 2
+    assert result.stdout == ""
 
 
 def test_rimhook_minimal():
@@ -448,67 +458,19 @@ def test_arithmetic_errors_exit_with_one_line(monkeypatch, capsys,
     assert err == prefix + "planted\n"
 
 
-_STDLIB_PROBE = """
-import contextlib, io, sys
-import ddperm, ddperm.cli
-code = None
-if len(sys.argv) > 1:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = ddperm.cli.main(sys.argv[1:])
-print(code, *(m for m in ("numpy", "dataclasses", "inspect", "fractions", "json",
-                          "ddperm.checks", "ddperm.counting", "ddperm.conjectures")
-              if m in sys.modules))
-"""
-
-
-# numpy stays one column of this stdlib probe: since the bit-sliced census,
-# no subcommand loads it, and loads_numpy is False in every row
-@pytest.mark.parametrize("argv, code, loads_numpy", [
-    ((), None, False),
-    (("count", "--set", "6", "--n", "9"), 0, False),
-    (("table", "--family", "b", "--to", "10"), 0, False),
-    (("table", "--family", "singleton", "--n", "12"), 0, False),
-    (("egf-check", "--which", "b", "--order", "10"), 0, False),
-    (("rimhook", "count", "--set", "2", "--length", "8"), 0, False),
-    (("rimhook", "list", "--set", "2", "--length", "6"), 0, False),
-    (("circular", "count", "--n", "8"), 0, False),
-    (("estimate", "--m", "6", "--n", "8"), 0, False),
-    (("conjecture", "run", "--id", "6.2", "--n", "12"), 0, False),
-    (("count", "--set", "5,2", "--n", "6"), 64, False),
-    (("count", "--set", "2", "--n", "13", "--method", "brute"), 2, False),
-    (("circular", "count", "--n", "14", "--method", "brute"), 2, False),
-    (("count", "--set", "2", "--n", "6", "--all-methods"), 0, False),
-    (("selftest",), 0, False),
-    (("table", "--family", "b", "--to", "10", "--format", "json"), 0, False),
-])
-def test_numpy_loads_only_for_sweeps(argv, code, loads_numpy):
-    # a CLI child loads only the standard library it computes with
-    result = subprocess.run(
-        [sys.executable, "-c", _STDLIB_PROBE, *argv],
-        capture_output=True, text=True,
-    )
-    exit_code, *loaded = result.stdout.split()
-    assert exit_code == str(code), result.stderr
-    assert ("numpy" in loaded) == loads_numpy
-    assert "dataclasses" not in loaded and "inspect" not in loaded
-    computes = {"ddperm.counting", "ddperm.conjectures", "ddperm.checks"}
-    assert "fractions" not in loaded or computes & set(loaded)
-    assert ("json" in loaded) == ("json" in argv)
-    assert ("ddperm.checks" in loaded) == (argv == ("selftest",))
-
-
-_IMPORT_PROBE = """
+_PROBE = """
 import contextlib, importlib, io, sys
 import ddperm
+code = None
 if sys.argv[1:2] == ["--import"]:
     importlib.import_module(sys.argv[2])
 elif len(sys.argv) > 1:
     from ddperm import cli
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
-        cli.main(sys.argv[1:])
-print(*sorted(m for m in sys.modules
-              if m.split(".")[0] in ("ddperm", "dataclasses", "inspect")))
+        code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] in (
+    "ddperm", "dataclasses", "inspect", "numpy", "fractions", "json")))
 """
 
 _ROUTES = ("bruteforce", "checks", "circular", "conjectures", "counting",
@@ -516,50 +478,57 @@ _ROUTES = ("bruteforce", "checks", "circular", "conjectures", "counting",
 _COMPUTING = {"ddperm." + m for m in _ROUTES}
 
 
-@pytest.mark.parametrize("argv, computing", [
-    ((), None),
-    (("count", "--set", "5,2", "--n", "6"), set()),
-    (("count", "--set", "6", "--n", "9"), {"counting"}),
-    (("table", "--family", "singleton", "--n", "12"), {"counting"}),
-    (("egf-check", "--which", "b", "--order", "10"), {"counting", "series"}),
+@pytest.mark.parametrize("argv, code, computing", [
+    ((), None, None),
+    (("count", "--set", "5,2", "--n", "6"), 64, set()),
+    (("count", "--set", "6", "--n", "9"), 0, {"counting"}),
+    (("table", "--family", "singleton", "--n", "12"), 0, {"counting"}),
+    (("egf-check", "--which", "b", "--order", "10"), 0, {"counting", "series"}),
     # series reads its cap from errors, so it loads no counting route
-    (("--import", "ddperm.series"), {"errors", "series"}),
-    (("table", "--family", "b", "--to", "10"), {"counting"}),
-    (("table", "--family", "b", "--to", "10", "--format", "json"),
+    (("--import", "ddperm.series"), None, {"errors", "series"}),
+    (("table", "--family", "b", "--to", "10"), 0, {"counting"}),
+    (("table", "--family", "b", "--to", "10", "--format", "json"), 0,
      {"counting"}),
-    (("rimhook", "count", "--set", "2", "--length", "8"), {"bruteforce"}),
-    (("rimhook", "list", "--set", "2", "--length", "6"), {"rimhooks"}),
-    (("circular", "count", "--n", "8"), {"circular", "counting"}),
-    (("circular", "count", "--n", "14", "--method", "brute"),
+    (("rimhook", "count", "--set", "2", "--length", "8"), 0, {"bruteforce"}),
+    (("rimhook", "list", "--set", "2", "--length", "6"), 0, {"rimhooks"}),
+    (("circular", "count", "--n", "8"), 0, {"circular", "counting"}),
+    (("circular", "count", "--n", "14", "--method", "brute"), 2,
      {"bruteforce"}),
-    (("estimate", "--m", "6", "--n", "8"), {"counting"}),
-    (("conjecture", "run", "--id", "6.2", "--n", "12"),
+    (("estimate", "--m", "6", "--n", "8"), 0, {"counting"}),
+    (("conjecture", "run", "--id", "6.2", "--n", "12"), 0,
      {"conjectures", "counting"}),
-    (("conjecture", "run", "--id", "6.2", "--alpha", "1/3"), set()),
-    (("conjecture", "run", "--id", "6.4", "--set-i", "2,5"), set()),
-    (("count", "--set", "2", "--n", "13", "--method", "brute"),
+    (("conjecture", "run", "--id", "6.2", "--alpha", "1/3"), 64, set()),
+    (("conjecture", "run", "--id", "6.4", "--set-i", "2,5"), 64, set()),
+    (("count", "--set", "2", "--n", "13", "--method", "brute"), 2,
      {"bruteforce"}),
-    (("count", "--set", "2", "--n", "6", "--all-methods"),
+    (("count", "--set", "2", "--n", "6", "--all-methods"), 0,
      {"counting", "bruteforce", "rimhooks"}),
-    (("selftest",), set(_ROUTES)),
+    (("selftest",), 0, set(_ROUTES)),
     # a rim hook is a tuple class: no dataclasses (nor the inspect they load)
-    (("--import", "ddperm.rimhooks"), {"errors", "perms", "render", "rimhooks"}),
+    (("--import", "ddperm.rimhooks"), None,
+     {"errors", "perms", "render", "rimhooks"}),
 ])
-def test_subcommand_loads_only_its_modules(argv, computing):
+def test_subcommand_loads_only_its_modules(argv, code, computing):
     # a CLI child compiles every module it loads (no bytecode cache is
-    # assumed), so each subcommand must load only the modules it runs
+    # assumed), so each subcommand must load only the modules and the
+    # standard library it runs; no subcommand loads numpy
     result = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, *argv],
+        [sys.executable, "-c", _PROBE, *argv],
         capture_output=True, text=True,
     )
-    loaded = set(result.stdout.split())
-    assert result.returncode == 0, result.stderr
-    assert not loaded & {"dataclasses", "inspect"}
+    exit_code, *names = result.stdout.split()
+    assert exit_code == str(code), result.stderr
+    loaded = set(names)
+    assert not loaded & {"dataclasses", "inspect", "numpy"}
+    computes = {"ddperm.counting", "ddperm.conjectures", "ddperm.checks"}
+    assert "fractions" not in loaded or computes & loaded
+    assert ("json" in loaded) == ("json" in argv)
+    modules = {m for m in loaded if m.split(".")[0] == "ddperm"}
     expected = {"ddperm." + m for m in computing or ()}
     if computing is None or argv[0] == "--import":  # exactly these modules
-        assert loaded == {"ddperm"} | expected
-    else:
-        assert loaded & _COMPUTING == expected
+        assert modules == {"ddperm"} | expected
+    else:  # checks among them only for selftest
+        assert modules & _COMPUTING == expected
 
 
 def test_set_parsing_unit():

@@ -66,7 +66,7 @@ def test_equidistribution_sweep_cap():
     assert cj.EQUIDIST_CAP >= 70
     with pytest.raises(CapExceeded, match="6.1 sweep to n=1000: 997 lengths exceed"):
         cj.equidistribution_report(1000, Fraction(1, 4), Fraction(3, 4))
-    with pytest.raises(ValueError, match="n >= n_min = 4, got n=3"):
+    with pytest.raises(ValueError, match="n >= 4, got n=3"):
         cj.equidistribution_report(3, Fraction(1, 4), Fraction(3, 4))
 
 
@@ -85,16 +85,16 @@ WINDOWS = [(Fraction(a), Fraction(b)) for a, b in (
     ("1/7", "1/2"), ("1/100", "99/100"), ("2/5", "3/5"))]
 
 
-def _row_route_report(n, alpha, beta, n_min, tables):
+def _row_route_report(n, alpha, beta, tables):
     """Rows and verdict of a 6.1 report summed from whole singleton rows
     (``tables[m]``) with Fraction arithmetic: the oracle for the report."""
     width = beta - alpha
     rows, pairs = [], []
-    for m in range(n_min, n + 1):
+    for m in range(4, n + 1):
         table = tables[m]
         total = sum(table.values())
         inside = [v for i, v in table.items() if alpha * m < i < beta * m]
-        if not inside or total == 0:
+        if not inside:
             rows.append((m, "", "", "", "", "empty"))
             continue
         share = width * total
@@ -111,15 +111,14 @@ def test_equidistribution_tail_route_matches_row_oracle():
     # the rows from the per-m DP, not from the closed-form rows the
     # report reads
     tables = {m: {i: counting.dd_count((i,), m) for i in range(2, m)}
-              for m in range(81)}
-    for n_min in (1, 2, 4, 10):
-        for alpha, beta in WINDOWS:
-            # every row up to length 80; the verdict at a few sweep ends
-            for n in (n_min, n_min + 1, 2 * n_min + 7, 23, 80):
-                report = cj.equidistribution_report(n, alpha, beta, n_min)
-                rows, supported = _row_route_report(n, alpha, beta, n_min, tables)
-                assert report.rows == rows, (n_min, alpha, beta, n)
-                assert (report.verdict is cj.Verdict.HOLDS_IN_RANGE) == supported
+              for m in range(4, 81)}
+    for alpha, beta in WINDOWS:
+        # every row up to length 80; the verdict at a few sweep ends
+        for n in (4, 5, 15, 23, 80):
+            report = cj.equidistribution_report(n, alpha, beta)
+            rows, supported = _row_route_report(n, alpha, beta, tables)
+            assert report.rows == rows, (alpha, beta, n)
+            assert (report.verdict is cj.Verdict.HOLDS_IN_RANGE) == supported
 
 
 def test_equidistribution_clamped_empty_and_one_position_windows():
@@ -130,8 +129,7 @@ def test_equidistribution_clamped_empty_and_one_position_windows():
              (Fraction(40, 100), Fraction(42, 100)): []}
     for (alpha, beta), inside in cases.items():
         assert [i for i in range(2, 6) if alpha * 6 < i < beta * 6] == inside
-        report = cj.equidistribution_report(6, alpha, beta, n_min=6)
-        (row,) = report.rows
+        row = cj.equidistribution_report(6, alpha, beta).rows[-1]
         if not inside:
             assert row == (6, "", "", "", "", "empty")
             continue

@@ -100,7 +100,7 @@ def test_estimate_reproduces_published_digits():
     assert estimate == Fraction(224191184, 10000)
     assert decimal_str(estimate, 3) == "22419.118"
     relative = (estimate - 22419) / 22419
-    assert percent_str(relative, 2) == "0.00053%"
+    assert percent_str(relative) == "0.00053%"
 
 
 def test_estimate_missing_table_entry(capsys):
@@ -139,14 +139,9 @@ def test_full_ascent_ratio_observation():
 
 def test_singleton_row_matches_per_m_dp():
     for n in range(0, 61):
-        assert counting.dd_singleton_row(n) == {
-            m: counting.dd_count((m,), n) for m in range(2, n)
-        }, n
-
-
-def test_singleton_values_are_the_row_in_order():
-    for n in [*range(0, 61), 300]:
-        assert counting.dd_singleton_values(n) == list(counting.dd_singleton_row(n).values()), n
+        assert counting.dd_singleton_values(n) == [
+            counting.dd_count((m,), n) for m in range(2, n)
+        ], n
 
 
 def test_singleton_rows_in_mixed_order(monkeypatch):
@@ -154,9 +149,9 @@ def test_singleton_rows_in_mixed_order(monkeypatch):
     # read a prefix of them, grow them again and read a prefix again
     monkeypatch.setattr(counting, "_EMPTY_COLUMNS", ([1], [1], ([1], [0])))
     for n in (80, 20, 120, 20):
-        row = counting.dd_singleton_row(n)
-        assert row == {m: counting.dd_count((m,), n) for m in range(2, n)}, n
-        row[2] += 1  # the second row at 20 must not see this
+        row = counting.dd_singleton_values(n)
+        assert row == [counting.dd_count((m,), n) for m in range(2, n)], n
+        row[0] += 1  # the second row at 20 must not see this
 
 
 def test_singleton_half_row_from_the_series_columns():
@@ -176,9 +171,9 @@ def test_singleton_half_row_from_the_series_columns():
 def test_singleton_row_matches_census():
     for n in range(0, 10):
         census = bf.dd_census(n)
-        assert counting.dd_singleton_row(n) == {
-            m: census.get((m,), 0) for m in range(2, n)
-        }, n
+        assert counting.dd_singleton_values(n) == [
+            census.get((m,), 0) for m in range(2, n)
+        ], n
 
 
 def test_per_m_dp_reverse_complement_symmetry():
@@ -286,11 +281,11 @@ def test_columns_and_row_caps():
     with pytest.raises(CapExceeded):
         counting.dd_ascent_counts((), errors.DP_CAP + 1)
     with pytest.raises(CapExceeded):
-        counting.dd_singleton_row(errors.DP_CAP + 1)
+        counting.dd_singleton_values(errors.DP_CAP + 1)
     with pytest.raises(ValueError):
         counting.dd_counts((), -1)
     with pytest.raises(ValueError):
-        counting.dd_singleton_row(-2)
+        counting.dd_singleton_values(-2)
     for sequence in (counting.no_dd_counts, counting.no_dd_ascent_counts):
         with pytest.raises(CapExceeded):
             sequence(errors.DP_CAP + 1)

@@ -37,3 +37,16 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         ddperm.no_such_name
     assert not hasattr(ddperm, "dd_count_fast")
+
+
+def test_readme_and_docstring_examples_run():
+    # the README quick start imports through the lazy namespace
+    import doctest
+    from pathlib import Path
+
+    from ddperm import counting, perms
+
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    for failed, attempted in (doctest.testfile(str(readme), module_relative=False),
+                              doctest.testmod(perms), doctest.testmod(counting)):
+        assert attempted and not failed

@@ -7,7 +7,6 @@ from ddperm.perms import (
     check_permutation,
     descent_set,
     double_descent_set,
-    has_initial_ascent,
     peak_set,
 )
 
@@ -34,16 +33,6 @@ def test_peak_set_examples():
     assert peak_set((1, 7, 3, 2, 6, 4, 5)) == (2, 5)
     assert peak_set((1, 2, 3)) == ()
     assert peak_set((1, 3, 2)) == (2,)
-
-
-def test_initial_ascent():
-    assert has_initial_ascent((1, 2))
-    assert not has_initial_ascent((2, 1))
-    assert has_initial_ascent((3, 5, 1, 2, 4))
-    with pytest.raises(ValueError):
-        has_initial_ascent((1,))
-    with pytest.raises(ValueError):
-        has_initial_ascent(())
 
 
 def test_degenerate_lengths_have_empty_statistics():

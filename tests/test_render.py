@@ -70,12 +70,12 @@ def test_decimal_str_ties_go_to_even(k, places):
 
 
 def test_percent_str():
-    assert percent_str(Fraction(1184, 10000 * 22419), 2) == "0.00053%"
-    assert percent_str(Fraction(1, 2), 2) == "50%"
-    assert percent_str(Fraction(1, 3), 2) == "33%"
-    assert percent_str(Fraction(0), 2) == "0%"
-    assert percent_str(Fraction(-1, 400), 2) == "-0.25%"
-    assert percent_str(Fraction(997, 100000), 2) == "1.0%"  # carry on round
+    assert percent_str(Fraction(1184, 10000 * 22419)) == "0.00053%"
+    assert percent_str(Fraction(1, 2)) == "50%"
+    assert percent_str(Fraction(1, 3)) == "33%"
+    assert percent_str(Fraction(0)) == "0%"
+    assert percent_str(Fraction(-1, 400)) == "-0.25%"
+    assert percent_str(Fraction(997, 100000)) == "1.0%"  # carry on round
 
 
 def test_csv_text():
