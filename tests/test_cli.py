@@ -478,54 +478,92 @@ _ROUTES = ("bruteforce", "checks", "circular", "conjectures", "counting",
 _COMPUTING = {"ddperm." + m for m in _ROUTES}
 
 
-@pytest.mark.parametrize("argv, code, computing", [
-    ((), None, None),
-    (("count", "--set", "5,2", "--n", "6"), 64, set()),
-    (("count", "--set", "6", "--n", "9"), 0, {"counting"}),
-    (("table", "--family", "singleton", "--n", "12"), 0, {"counting"}),
-    (("egf-check", "--which", "b", "--order", "10"), 0, {"counting", "series"}),
-    # series reads its cap from errors, so it loads no counting route
-    (("--import", "ddperm.series"), None, {"errors", "series"}),
-    (("table", "--family", "b", "--to", "10"), 0, {"counting"}),
-    (("table", "--family", "b", "--to", "10", "--format", "json"), 0,
-     {"counting"}),
-    (("rimhook", "count", "--set", "2", "--length", "8"), 0, {"bruteforce"}),
-    (("rimhook", "list", "--set", "2", "--length", "6"), 0, {"rimhooks"}),
-    (("circular", "count", "--n", "8"), 0, {"circular", "counting"}),
-    (("circular", "count", "--n", "14", "--method", "brute"), 2,
-     {"bruteforce"}),
-    (("estimate", "--m", "6", "--n", "8"), 0, {"counting"}),
-    (("conjecture", "run", "--id", "6.2", "--n", "12"), 0,
-     {"conjectures", "counting"}),
-    (("conjecture", "run", "--id", "6.2", "--alpha", "1/3"), 64, set()),
-    (("conjecture", "run", "--id", "6.4", "--set-i", "2,5"), 64, set()),
-    (("count", "--set", "2", "--n", "13", "--method", "brute"), 2,
-     {"bruteforce"}),
-    (("count", "--set", "2", "--n", "6", "--all-methods"), 0,
-     {"counting", "bruteforce", "rimhooks"}),
-    (("selftest",), 0, set(_ROUTES)),
-    # a rim hook is a tuple class: no dataclasses (nor the inspect they load)
-    (("--import", "ddperm.rimhooks"), None,
-     {"errors", "perms", "render", "rimhooks"}),
-])
-def test_subcommand_loads_only_its_modules(argv, code, computing):
-    # a CLI child compiles every module it loads (no bytecode cache is
-    # assumed), so each subcommand must load only the modules and the
-    # standard library it runs; no subcommand loads numpy
+def _probe(argv):
+    """Run ``_PROBE`` in a fresh interpreter: (main's exit code, modules)."""
     result = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv],
         capture_output=True, text=True,
     )
+    assert result.returncode == 0, result.stderr
     exit_code, *names = result.stdout.split()
-    assert exit_code == str(code), result.stderr
-    loaded = set(names)
+    return exit_code, set(names)
+
+
+# numpy stays one column of the probe's standard-library check: since the
+# bit-sliced census, no subcommand loads it, and loads_numpy is False in
+# every row
+@pytest.mark.parametrize("argv, code, loads_numpy", [
+    ((), None, False),
+    (("count", "--set", "6", "--n", "9"), 0, False),
+    (("table", "--family", "b", "--to", "10"), 0, False),
+    (("table", "--family", "singleton", "--n", "12"), 0, False),
+    (("egf-check", "--which", "b", "--order", "10"), 0, False),
+    (("rimhook", "count", "--set", "2", "--length", "8"), 0, False),
+    (("rimhook", "list", "--set", "2", "--length", "6"), 0, False),
+    (("circular", "count", "--n", "8"), 0, False),
+    (("estimate", "--m", "6", "--n", "8"), 0, False),
+    (("conjecture", "run", "--id", "6.2", "--n", "12"), 0, False),
+    (("count", "--set", "5,2", "--n", "6"), 64, False),
+    (("count", "--set", "2", "--n", "13", "--method", "brute"), 2, False),
+    (("circular", "count", "--n", "14", "--method", "brute"), 2, False),
+    (("count", "--set", "2", "--n", "6", "--all-methods"), 0, False),
+    (("selftest",), 0, False),
+    (("table", "--family", "b", "--to", "10", "--format", "json"), 0, False),
+])
+def test_numpy_loads_only_for_sweeps(argv, code, loads_numpy):
+    # a CLI child loads only the standard library it computes with
+    exit_code, loaded = _probe(argv)
+    assert exit_code == str(code)
+    assert ("numpy" in loaded) == loads_numpy
+    assert not loaded & {"dataclasses", "inspect"}
+    computes = {"ddperm.counting", "ddperm.conjectures", "ddperm.checks"}
+    assert "fractions" not in loaded or computes & loaded
+    assert ("json" in loaded) == ("json" in argv)
+    assert ("ddperm.checks" in loaded) == (argv == ("selftest",))
+
+
+@pytest.mark.parametrize("argv, computing", [
+    ((), None),
+    (("count", "--set", "5,2", "--n", "6"), set()),
+    (("count", "--set", "6", "--n", "9"), {"counting"}),
+    (("table", "--family", "singleton", "--n", "12"), {"counting"}),
+    (("egf-check", "--which", "b", "--order", "10"), {"counting", "series"}),
+    # series reads its cap from errors, so it loads no counting route
+    (("--import", "ddperm.series"), {"errors", "series"}),
+    (("table", "--family", "b", "--to", "10"), {"counting"}),
+    (("table", "--family", "b", "--to", "10", "--format", "json"),
+     {"counting"}),
+    (("rimhook", "count", "--set", "2", "--length", "8"), {"bruteforce"}),
+    (("rimhook", "list", "--set", "2", "--length", "6"), {"rimhooks"}),
+    (("circular", "count", "--n", "8"), {"circular", "counting"}),
+    (("circular", "count", "--n", "14", "--method", "brute"),
+     {"bruteforce"}),
+    (("estimate", "--m", "6", "--n", "8"), {"counting"}),
+    (("conjecture", "run", "--id", "6.2", "--n", "12"),
+     {"conjectures", "counting"}),
+    (("conjecture", "run", "--id", "6.2", "--alpha", "1/3"), set()),
+    (("conjecture", "run", "--id", "6.4", "--set-i", "2,5"), set()),
+    (("count", "--set", "2", "--n", "13", "--method", "brute"),
+     {"bruteforce"}),
+    (("count", "--set", "2", "--n", "6", "--all-methods"),
+     {"counting", "bruteforce", "rimhooks"}),
+    (("selftest",), set(_ROUTES)),
+    # a rim hook is a tuple class: no dataclasses (nor the inspect they load)
+    (("--import", "ddperm.rimhooks"), {"errors", "perms", "render", "rimhooks"}),
+])
+def test_subcommand_loads_only_its_modules(argv, computing):
+    # a CLI child compiles every module it loads (no bytecode cache is
+    # assumed), so each subcommand must load only the modules it runs
+    exit_code, loaded = _probe(argv)
+    ran_command = argv != () and argv[0] != "--import"
+    assert (exit_code != "None") == ran_command
     assert not loaded & {"dataclasses", "inspect", "numpy"}
     computes = {"ddperm.counting", "ddperm.conjectures", "ddperm.checks"}
     assert "fractions" not in loaded or computes & loaded
     assert ("json" in loaded) == ("json" in argv)
-    modules = {m for m in loaded if m.split(".")[0] == "ddperm"}
+    modules ={m for m in loaded if m.split(".")[0] == "ddperm"}
     expected = {"ddperm." + m for m in computing or ()}
-    if computing is None or argv[0] == "--import":  # exactly these modules
+    if not ran_command:  # exactly these modules
         assert modules == {"ddperm"} | expected
     else:  # checks among them only for selftest
         assert modules & _COMPUTING == expected
